@@ -3,12 +3,12 @@
 //! Run all experiments:
 //!
 //! ```text
-//! cargo run --release -p bench --bin experiments
+//! cargo run --release -p nk-bench --bin experiments
 //! ```
 //!
-//! or a single one by name, e.g. `cargo run -p bench --bin experiments fig13`.
-//! Output is a table per experiment in the same units the paper reports;
-//! `EXPERIMENTS.md` records the comparison against the published numbers.
+//! or a single one by name, e.g. `cargo run -p nk-bench --bin experiments fig13`.
+//! Output is a table per experiment in the same units the paper reports, so
+//! it can be read against the published figures directly.
 //! Headline numbers are also written to `BENCH_results.json` (override the
 //! path with `BENCH_RESULTS_PATH`) so CI can archive the perf trajectory.
 
@@ -90,9 +90,6 @@ fn main() {
     }
     if want("par01") {
         par01_parallel_datapath(&mut results);
-    }
-    if want("par02") {
-        par02_intra_host_sharding(&mut results);
     }
     if want("obs01") {
         obs01_recorder_overhead(&mut results);
@@ -1561,228 +1558,6 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
     assert!(
         speedup_h16_t4 >= 2.0,
         "acceptance: 16-host workload must model >= 2x at 4 threads, got {speedup_h16_t4:.2}"
-    );
-}
-
-/// par02: intra-host sharding — steps/sec and modeled speedup for 1-host
-/// and 2-host topologies of 8 NSM shares each, at 1/2/4 worker threads.
-///
-/// This is the shape host-granularity sharding cannot help: par01's unit
-/// is the host, so a single host models 1.0x at any thread count. With
-/// [`nk_types::ClusterConfig::shard_within_hosts`] each share lane (engine
-/// slice + service + stack) is dealt onto threads separately and only the
-/// host hub — resident engine, ledger charges, vNIC switch — stays serial
-/// at the round barrier.
-///
-/// The workload keeps the datapath inside the lanes: shares are paired on
-/// each host and the VM on one share streams 4 KiB chunks over TCP to a VM
-/// on its partner share, which echoes. Stack, service and engine work all
-/// happen lane-side; the hub only forwards the frames between the paired
-/// vNICs. As in par01, the **modeled** rate (serial wall rate x
-/// `serial_work / critical_work`) is the gate — CI containers often pin
-/// the process to one core — and the wall rate is reported for honesty.
-///
-/// The determinism contract is asserted three ways per topology: cluster
-/// stats, event digest and echoed bytes are identical across thread
-/// counts, and identical again between shard-mode on and off for the
-/// serial run.
-fn par02_intra_host_sharding(results: &mut BenchResults) {
-    use nk_cluster::Cluster;
-    use nk_types::{
-        ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, SockAddr, SocketApi, VmConfig, VmId,
-        VmToNsmPolicy,
-    };
-
-    const STEPS: usize = 60;
-    const DT_NS: u64 = 100_000;
-    const CHUNK: usize = 4096;
-    const SHARES: u8 = 8;
-    const PORT: u16 = 7;
-
-    struct RunOut {
-        wall_steps_per_s: f64,
-        modeled_speedup: f64,
-        hub_share: f64,
-        threads_used: usize,
-        stats: nk_cluster::ClusterStats,
-        digest: u64,
-        guest_bytes: u64,
-    }
-
-    let vm_of = |h: u8, n: u8| VmId((h - 1) * SHARES + n);
-
-    let run = |hosts: u8, threads: usize, shard: bool| -> RunOut {
-        let mut cfg = ClusterConfig::new()
-            .with_uplink_latency_us(2)
-            .with_threads(threads)
-            .with_shard_within_hosts(shard);
-        for h in 1..=hosts {
-            let mut host = HostConfig::new().with_host_id(HostId(h));
-            let mut map = Vec::new();
-            for n in 1..=SHARES {
-                host = host
-                    .with_nsm(NsmConfig::kernel(NsmId(n)))
-                    .with_vm(VmConfig::new(vm_of(h, n)));
-                map.push((vm_of(h, n), NsmId(n)));
-            }
-            cfg = cfg.with_host(host.with_mapping(VmToNsmPolicy::Static(map)));
-        }
-        let mut cluster = Cluster::new(cfg).expect("valid par02 cluster");
-
-        // Pair the shares: the VM on share 2k-1 listens, the VM on share
-        // 2k streams to it across the host's vNIC switch. Four independent
-        // TCP flows per host, each touching exactly two lanes.
-        let mut servers = Vec::new();
-        let mut clients = Vec::new();
-        for h in 1..=hosts {
-            for k in 0..SHARES / 2 {
-                let (sn, cn) = (2 * k + 1, 2 * k + 2);
-                let addr = cluster.host(HostId(h)).unwrap().nsm_addr(NsmId(sn));
-                let guest = cluster.guest_on(HostId(h), vm_of(h, sn)).unwrap();
-                let ls = guest.socket().unwrap();
-                guest.bind(ls, SockAddr::new(0, PORT)).unwrap();
-                guest.listen(ls, 8).unwrap();
-                servers.push((h, vm_of(h, sn), ls));
-                let guest = cluster.guest_on(HostId(h), vm_of(h, cn)).unwrap();
-                let s = guest.socket().unwrap();
-                guest.connect(s, SockAddr::new(addr, PORT)).unwrap();
-                clients.push((h, vm_of(h, cn), s));
-            }
-        }
-        cluster.run(5, DT_NS); // handshakes
-
-        let chunk = [0x5Au8; CHUNK];
-        let mut buf = [0u8; CHUNK];
-        let mut guest_bytes = 0u64;
-        let mut server_conns = Vec::new();
-        let start = std::time::Instant::now();
-        for _ in 0..STEPS {
-            for &(h, vm, s) in &clients {
-                let guest = cluster.guest_on(HostId(h), vm).unwrap();
-                if guest.poll(s).writable() {
-                    let _ = guest.send(s, &chunk);
-                }
-                while let Ok(n) = guest.recv(s, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    guest_bytes += n as u64;
-                }
-            }
-            for &(h, vm, ls) in &servers {
-                let guest = cluster.guest_on(HostId(h), vm).unwrap();
-                while let Ok((c, _)) = guest.accept(ls) {
-                    server_conns.push((h, vm, c));
-                }
-            }
-            for &(h, vm, c) in &server_conns {
-                let guest = cluster.guest_on(HostId(h), vm).unwrap();
-                while let Ok(n) = guest.recv(c, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    let _ = guest.send(c, &buf[..n]);
-                }
-            }
-            cluster.step(DT_NS);
-        }
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-
-        let exec = cluster.exec_stats();
-        RunOut {
-            wall_steps_per_s: STEPS as f64 / elapsed,
-            modeled_speedup: exec.modeled_speedup(),
-            hub_share: exec.hub_work as f64 / exec.serial_work.max(1) as f64,
-            threads_used: exec.threads,
-            stats: cluster.stats(),
-            digest: cluster.event_digest(),
-            guest_bytes,
-        }
-    };
-
-    let record = results.experiment("par02");
-    let mut rows = Vec::new();
-    let mut speedup_h1_t4 = 0.0;
-    for &hosts in &[1u8, 2] {
-        // The shard-mode-off serial run is the reference the whole matrix
-        // must match byte-for-byte.
-        let reference = run(hosts, 1, false);
-        assert!(
-            reference.guest_bytes > 0,
-            "h{hosts}: the workload must flow"
-        );
-        let base = run(hosts, 1, true);
-        assert_eq!(base.stats, reference.stats, "h{hosts}: shard-mode stats");
-        assert_eq!(base.digest, reference.digest, "h{hosts}: shard-mode digest");
-        assert_eq!(
-            base.guest_bytes, reference.guest_bytes,
-            "h{hosts}: shard-mode bytes"
-        );
-        for &threads in &[1usize, 2, 4] {
-            let parallel;
-            let out = if threads == 1 {
-                &base
-            } else {
-                parallel = run(hosts, threads, true);
-                &parallel
-            };
-            assert_eq!(out.stats, reference.stats, "h{hosts} t{threads}: stats");
-            assert_eq!(out.digest, reference.digest, "h{hosts} t{threads}: digest");
-            assert_eq!(
-                out.guest_bytes, reference.guest_bytes,
-                "h{hosts} t{threads}: bytes"
-            );
-            let modeled = base.wall_steps_per_s * out.modeled_speedup;
-            if hosts == 1 && threads == 4 {
-                speedup_h1_t4 = out.modeled_speedup;
-            }
-            rows.push(vec![
-                format!("{hosts} x {SHARES} shares"),
-                format!("{threads} ({})", out.threads_used),
-                f(modeled, 0),
-                f(out.modeled_speedup, 2),
-                f(out.wall_steps_per_s, 0),
-                format!("{:.0}%", 100.0 * out.hub_share),
-            ]);
-            record
-                .metric(
-                    &format!("modeled_steps_per_s_h{hosts}s8_t{threads}"),
-                    "steps/s",
-                    modeled,
-                )
-                .metric(
-                    &format!("modeled_speedup_h{hosts}s8_t{threads}"),
-                    "x",
-                    out.modeled_speedup,
-                )
-                .metric(
-                    &format!("wall_steps_per_s_h{hosts}s8_t{threads}"),
-                    "steps/s",
-                    out.wall_steps_per_s,
-                );
-        }
-    }
-    record.metric("speedup_h1s8_t4", "x", speedup_h1_t4);
-    print_table(
-        "par02: intra-host sharding — one 8-share host fills the threads host-granularity left idle",
-        &[
-            "topology",
-            "threads (used)",
-            "modeled steps/s",
-            "speedup",
-            "wall steps/s",
-            "hub share",
-        ],
-        &rows,
-    );
-    println!(
-        "1 host x 8 shares @ 4 threads: modeled speedup {speedup_h1_t4:.2}x over the serial \
-         walk — the same topology models 1.00x under host-granularity sharding (par01's unit \
-         floor)"
-    );
-    assert!(
-        speedup_h1_t4 >= 2.0,
-        "acceptance: a single 8-share host must model >= 2x at 4 threads, got {speedup_h1_t4:.2}"
     );
 }
 

@@ -1,7 +1,7 @@
 //! Formatting helpers and machine-readable results for experiment output.
 //!
 //! Every experiment binary prints a small table in the same layout the paper
-//! uses, so `EXPERIMENTS.md` can be checked against the output directly. On
+//! uses, so the output can be checked against the paper directly. On
 //! top of the human tables, experiments push their headline numbers (Gbps,
 //! RPS, latency statistics) into a [`BenchResults`] collector which is
 //! written to `BENCH_results.json` — the file CI archives per commit so the

@@ -6,7 +6,7 @@ use nk_ctrl::PlanEvent;
 use nk_fabric::link::LinkConfig;
 use nk_fabric::tor::TorSwitch;
 use nk_guest::GuestLib;
-use nk_host::{NetKernelHost, ShareLane};
+use nk_host::NetKernelHost;
 use nk_netstack::{Segment, StackConfig, TcpStack};
 use nk_obs::{FlightRecorder, FlowKey, MigrationPhase, ObsDump, ObsEventKind, PhaseWindow};
 use nk_sim::{CycleLedger, Pollable, PoolMember};
@@ -114,14 +114,6 @@ pub struct Cluster {
     /// `threads == 1`, sharded across worker threads otherwise. Semantics
     /// are identical either way; see [`crate::exec`].
     pub(crate) exec: ShardedExecutor,
-    /// Shard below the host boundary: NSM share lanes (not whole hosts)
-    /// are the parallel units. See [`nk_types::ClusterConfig::shard_within_hosts`]
-    /// and the `NK_CLUSTER_SHARD_WITHIN_HOSTS` override.
-    pub(crate) shard_within_hosts: bool,
-    /// Per-lane work from the previous lane-mode step, keyed
-    /// `(host, lane key)` — the weights the next step's LPT dealing uses.
-    /// Scheduling input only: results never depend on it.
-    pub(crate) lane_weights: BTreeMap<(HostId, NsmId), u64>,
     /// The flight recorder: every capture happens on the coordinator —
     /// outside the sharded step or at the round barrier — in `HostId`
     /// order, so its dump is byte-identical at any thread count.
@@ -162,7 +154,6 @@ impl Cluster {
         };
         let next_epoch_ns = cfg.policy.as_ref().map(|p| p.epoch_ns).unwrap_or(u64::MAX);
         let threads = Self::resolve_threads(cfg.threads);
-        let shard_within_hosts = cfg.shard_within_hosts;
         let obs = FlightRecorder::new(cfg.obs);
         Ok(Cluster {
             cfg,
@@ -182,8 +173,6 @@ impl Cluster {
             prev_vm_bytes: BTreeMap::new(),
             stats: ClusterStats::default(),
             exec: ShardedExecutor::new(threads),
-            shard_within_hosts: Self::resolve_shard_mode(shard_within_hosts),
-            lane_weights: BTreeMap::new(),
             obs,
             obs_ctrl_seen: BTreeMap::new(),
             now_ns: 0,
@@ -220,37 +209,6 @@ impl Cluster {
         }
     }
 
-    /// The sharding granularity: `NK_CLUSTER_SHARD_WITHIN_HOSTS` (when set
-    /// to a recognised boolean) wins over
-    /// [`ClusterConfig::shard_within_hosts`], so CI can replay any scenario
-    /// at the other granularity without touching the config — the results
-    /// are identical either way.
-    fn resolve_shard_mode(configured: bool) -> bool {
-        let var = std::env::var("NK_CLUSTER_SHARD_WITHIN_HOSTS").ok();
-        Self::resolve_shard_mode_from(var.as_deref(), configured)
-    }
-
-    /// The env-free core of [`Cluster::resolve_shard_mode`]. Accepts
-    /// `1/true/on/yes` and `0/false/off/no` (case-insensitive); anything
-    /// else falls back to the configured mode, logged on stderr — a typo
-    /// must not silently flip the granularity a replay was recorded under.
-    pub(crate) fn resolve_shard_mode_from(raw: Option<&str>, configured: bool) -> bool {
-        let Some(raw) = raw else {
-            return configured;
-        };
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => true,
-            "0" | "false" | "off" | "no" => false,
-            _ => {
-                eprintln!(
-                    "NK_CLUSTER_SHARD_WITHIN_HOSTS={raw:?} is not a recognised boolean; \
-                     falling back to the configured {configured}"
-                );
-                configured
-            }
-        }
-    }
-
     /// The cluster's configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
@@ -278,12 +236,6 @@ impl Cluster {
     /// override).
     pub fn threads(&self) -> usize {
         self.exec.threads()
-    }
-
-    /// Whether the datapath shards below the host boundary (after the
-    /// `NK_CLUSTER_SHARD_WITHIN_HOSTS` override).
-    pub fn shard_within_hosts(&self) -> bool {
-        self.shard_within_hosts
     }
 
     /// A host by id.
@@ -419,9 +371,6 @@ impl Cluster {
     /// draining host uplinks in route order (ascending host id), so the
     /// cross-shard frame merge is deterministic for any thread count.
     pub(crate) fn drive_step(&mut self, dt_ns: u64, close: bool) -> StepOutcome {
-        if self.shard_within_hosts {
-            return self.drive_step_lanes(dt_ns, close);
-        }
         self.now_ns += dt_ns;
         let before = {
             let s = self.exec.stats();
@@ -470,126 +419,6 @@ impl Cluster {
         self.stats.barrier_frames += s.barrier_frames - before.3;
         self.drain_host_feeds();
         outcome
-    }
-
-    /// The intra-host sharding variant of [`Cluster::drive_step`]: every
-    /// host is split into NSM share lanes and the flattened lane list —
-    /// every lane of every host — is dealt across the worker threads by
-    /// weighted placement ([`ShardedExecutor::drive_lanes`]), so one
-    /// many-share host no longer serialises behind the host boundary.
-    ///
-    /// Determinism is preserved by the same discipline as host-granularity
-    /// sharding, one level down: lanes touch disjoint state during the poll
-    /// phase, and everything shared — each host's resident engine, ledger
-    /// charges, vNIC switch and the ToR — runs serially at the round
-    /// barrier in `(HostId, lane key)` drain order. Begin and close phases
-    /// run on the coordinator with every lane re-absorbed into its host, so
-    /// fault injection, the control plane and all migration paths see whole
-    /// hosts exactly as the serial path does.
-    fn drive_step_lanes(&mut self, dt_ns: u64, close: bool) -> StepOutcome {
-        self.now_ns += dt_ns;
-        let before = {
-            let s = self.exec.stats();
-            (s.begin_work, s.poll_work, s.close_work, s.barrier_frames)
-        };
-        // Begin: serial, `HostId` order — identical to the serial walk.
-        let mut begin = 0usize;
-        for host in self.hosts.values_mut() {
-            begin += host.begin_step(dt_ns);
-        }
-        self.exec.note_begin_work(begin);
-        // Split every host into its share lanes, flattened into one
-        // cluster-wide unit list keyed `(host, lane key)`.
-        let mut lanes: BTreeMap<(HostId, NsmId), ShareLane> = BTreeMap::new();
-        for (id, host) in self.hosts.iter_mut() {
-            for (key, lane) in host.split_lanes() {
-                lanes.insert((*id, key), lane);
-            }
-        }
-        // Work the per-host hubs did at the barriers. The executor books it
-        // under `hub_work`; `ClusterStats::poll_work` must still cover it —
-        // in host-granularity mode the same work happens inside
-        // `NetKernelHost::poll_round` and lands in `poll_work`.
-        let host_tail = std::cell::Cell::new(0usize);
-        let hosts = &mut self.hosts;
-        let tor = &mut self.tor;
-        let remotes = &mut self.remotes;
-        let obs = &mut self.obs;
-        let obs_active = obs.active();
-        let outcome = self.exec.drive_lanes(
-            &mut lanes,
-            &self.lane_weights,
-            |now| {
-                // Host hubs first (resident engine, lane-report ledger
-                // charges, host remotes, vNIC switch) in `HostId` order —
-                // uplink frames must be on the trunks before the ToR runs.
-                let mut tail = 0usize;
-                for host in hosts.values_mut() {
-                    tail += host.hub_round(now);
-                }
-                host_tail.set(host_tail.get() + tail);
-                let frames = if obs_active {
-                    tor.step_with(now, |f| {
-                        obs.observe_flow(
-                            FlowKey {
-                                src_ip: f.payload.src.ip,
-                                src_port: f.payload.src.port,
-                                dst_ip: f.payload.dst.ip,
-                                dst_port: f.payload.dst.port,
-                            },
-                            f.wire_bytes as u64,
-                        )
-                    })
-                } else {
-                    tor.step(now)
-                };
-                let mut work = tail + frames;
-                for remote in remotes.values_mut() {
-                    work += Pollable::poll(remote, now);
-                }
-                (work, frames)
-            },
-            self.now_ns,
-            self.cfg.max_rounds,
-        );
-        // Re-assemble every host and harvest the per-lane work counters for
-        // next step's dealing. A lane that did no work gets no entry and
-        // weighs 1 next step.
-        let mut per_host: BTreeMap<HostId, BTreeMap<NsmId, ShareLane>> = BTreeMap::new();
-        for ((host, key), lane) in lanes {
-            per_host.entry(host).or_default().insert(key, lane);
-        }
-        for (host, host_lanes) in per_host {
-            self.hosts
-                .get_mut(&host)
-                .expect("lanes came from this host")
-                .absorb_lanes(host_lanes);
-        }
-        self.lane_weights.clear();
-        for (id, host) in self.hosts.iter_mut() {
-            for (key, load) in host.take_lane_loads() {
-                self.lane_weights.insert((*id, key), load);
-            }
-        }
-        // Close: serial, `HostId` order, on the whole re-assembled hosts.
-        let mut close_work = 0usize;
-        if close {
-            for host in self.hosts.values_mut() {
-                close_work += host.end_step();
-            }
-            self.exec.note_close_work(close_work);
-        }
-        let s = self.exec.stats();
-        self.stats.begin_work += s.begin_work - before.0;
-        self.stats.poll_work += (s.poll_work - before.1) + host_tail.get() as u64;
-        self.stats.control_work += s.close_work - before.2;
-        self.stats.barrier_frames += s.barrier_frames - before.3;
-        self.drain_host_feeds();
-        StepOutcome {
-            work: begin + outcome.work + close_work,
-            rounds: outcome.rounds,
-            quiescent: outcome.quiescent,
-        }
     }
 
     /// Mirror what each host's recorder feed accumulated this step — fault

@@ -54,21 +54,6 @@ impl StepUnit for nk_host::NetKernelHost {
     }
 }
 
-/// The poll-phase protocol of one intra-host share lane (an
-/// [`nk_host::ShareLane`]): lanes only exist between a step's begin and
-/// close — the host runs those serially on the re-assembled whole — so the
-/// unit interface is a single round entry point.
-pub trait LaneUnit: Send {
-    /// One poll round over the lane's slice of a host datapath.
-    fn lane_round(&mut self, now_ns: u64) -> usize;
-}
-
-impl LaneUnit for nk_host::ShareLane {
-    fn lane_round(&mut self, now_ns: u64) -> usize {
-        self.poll_round(now_ns)
-    }
-}
-
 /// What one driven step did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StepOutcome {
@@ -140,15 +125,12 @@ impl ExecStats {
     /// ```
     ///
     /// where the begin/close terms are the per-phase *maximum* shard when
-    /// the phase ran sharded, or the full phase work when it ran serially
-    /// on the coordinator (as in lane mode, see
-    /// [`ShardedExecutor::note_begin_work`]). An earlier version divided by
-    /// the per-round maximum shard alone — one unit per shard round, no
-    /// hub — which over-reported speedup whenever the serial hub did real
-    /// work, precisely the regime intra-host sharding lives in (the hub
-    /// carries the vNIC switch every round).
+    /// the phase ran sharded, or the full phase work when it ran serially.
+    /// An earlier version divided by the per-round maximum shard alone —
+    /// one unit per shard round, no hub — which over-reported speedup
+    /// whenever the serial hub did real work.
     ///
-    /// Worked example: one round, 8 lanes × 12 work items dealt 2-per-shard
+    /// Worked example: one round, 8 hosts × 12 work items dealt 2-per-shard
     /// onto 4 shards, and a hub doing 8 items at the barrier. Serially
     /// that's `8 × 12 + 8 = 104` items; the critical path is one shard's
     /// `2 × 12 = 24` plus the hub's 8 = 32, so the model reports
@@ -511,237 +493,6 @@ impl ShardedExecutor {
             quiescent,
         }
     }
-
-    // ---- Lane mode (intra-host sharding) -------------------------------------
-
-    /// Account work done in a serial begin phase run by the *caller* (lane
-    /// mode runs host begin/close on the coordinator, with every lane still
-    /// absorbed into its host). The work counts fully into the critical
-    /// path — it genuinely is serial — and is attributed to no shard.
-    pub fn note_begin_work(&mut self, work: usize) {
-        self.stats.begin_work += work as u64;
-        self.stats.serial_work += work as u64;
-        self.stats.critical_work += work as u64;
-    }
-
-    /// Account work done in a serial close phase run by the caller; see
-    /// [`ShardedExecutor::note_begin_work`].
-    pub fn note_close_work(&mut self, work: usize) {
-        self.stats.close_work += work as u64;
-        self.stats.serial_work += work as u64;
-        self.stats.critical_work += work as u64;
-    }
-
-    /// Drive the poll phase of one step over a flattened list of share
-    /// `lanes` (every share lane of every host in the cluster), dealt onto
-    /// worker threads by *weighted* placement: lanes are taken heaviest
-    /// first (by `weights`, normally last step's per-lane work; a lane
-    /// with no history weighs 1) and each goes to the lightest shard —
-    /// longest-processing-time dealing, so a single 8-share host saturates
-    /// 4 threads instead of serialising behind the host boundary. Ties
-    /// break by key, then by shard occupancy, then by shard index: the
-    /// assignment is a pure function of (weights, keys, thread count).
-    ///
-    /// `hub` runs at every round barrier on the caller's thread with all
-    /// workers parked, and must poll every host's hub (resident engine,
-    /// report drain, remotes, vNIC switch) in `HostId` order, then the ToR
-    /// and cluster remotes — returning `(work, frames_forwarded)` of
-    /// everything it ran. Quiescence is the sum of lane work and hub work
-    /// reaching zero, which is shard-assignment-independent, so every
-    /// thread count (and the serial walk) runs identical rounds.
-    ///
-    /// Begin and close phases are *not* part of this call — run them
-    /// serially around it and account them via
-    /// [`ShardedExecutor::note_begin_work`] /
-    /// [`ShardedExecutor::note_close_work`].
-    pub fn drive_lanes<K, L, H>(
-        &mut self,
-        lanes: &mut BTreeMap<K, L>,
-        weights: &BTreeMap<K, u64>,
-        hub: H,
-        now_ns: u64,
-        max_rounds: usize,
-    ) -> StepOutcome
-    where
-        K: Ord + Copy,
-        L: LaneUnit,
-        H: FnMut(u64) -> (usize, usize),
-    {
-        let shard_count = self.threads.min(lanes.len()).max(1);
-        self.stats.threads = shard_count;
-        if self.stats.shards.len() != shard_count {
-            self.stats.shards = vec![ShardStats::default(); shard_count];
-        }
-        let outcome = if shard_count <= 1 {
-            self.drive_lanes_serial(lanes, hub, now_ns, max_rounds)
-        } else {
-            self.drive_lanes_sharded(lanes, weights, hub, now_ns, max_rounds, shard_count)
-        };
-        self.stats.steps += 1;
-        self.stats.rounds += outcome.rounds as u64;
-        outcome
-    }
-
-    /// Serial lane walk (one thread or one lane): lanes in key order, then
-    /// the hub — the reference order every sharded schedule must match.
-    fn drive_lanes_serial<K, L, H>(
-        &mut self,
-        lanes: &mut BTreeMap<K, L>,
-        mut hub: H,
-        now_ns: u64,
-        max_rounds: usize,
-    ) -> StepOutcome
-    where
-        K: Ord,
-        L: LaneUnit,
-        H: FnMut(u64) -> (usize, usize),
-    {
-        self.stats.shards[0].units = lanes.len();
-        let mut total = 0usize;
-        let mut rounds = 0usize;
-        let quiescent;
-        loop {
-            let mut poll = 0usize;
-            for lane in lanes.values_mut() {
-                poll += lane.lane_round(now_ns);
-            }
-            let (hub_work, frames) = hub(now_ns);
-            let work = poll + hub_work;
-            rounds += 1;
-            total += work;
-            self.stats.shards[0].poll_work += poll as u64;
-            self.stats.poll_work += poll as u64;
-            self.stats.hub_work += hub_work as u64;
-            self.stats.barrier_frames += frames as u64;
-            self.stats.serial_work += work as u64;
-            self.stats.critical_work += work as u64;
-            if work == 0 {
-                quiescent = true;
-                break;
-            }
-            if rounds >= max_rounds {
-                quiescent = false;
-                break;
-            }
-        }
-        StepOutcome {
-            work: total,
-            rounds,
-            quiescent,
-        }
-    }
-
-    /// The sharded lane walk: weighted LPT dealing, then the same
-    /// barrier-per-round protocol as [`ShardedExecutor::drive_sharded`]
-    /// minus the begin/close phases.
-    fn drive_lanes_sharded<K, L, H>(
-        &mut self,
-        lanes: &mut BTreeMap<K, L>,
-        weights: &BTreeMap<K, u64>,
-        mut hub: H,
-        now_ns: u64,
-        max_rounds: usize,
-        shard_count: usize,
-    ) -> StepOutcome
-    where
-        K: Ord + Copy,
-        L: LaneUnit,
-        H: FnMut(u64) -> (usize, usize),
-    {
-        // Heaviest lane first (key breaks ties), each onto the lightest
-        // shard. A lane with no history weighs 1, not 0, so a fresh
-        // topology still spreads across shards instead of piling onto
-        // shard 0.
-        let mut order: Vec<(K, u64)> = lanes
-            .keys()
-            .map(|k| (*k, weights.get(k).copied().unwrap_or(0).max(1)))
-            .collect();
-        order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut loads = vec![0u64; shard_count];
-        let mut occupancy = vec![0usize; shard_count];
-        let mut assignment: BTreeMap<K, usize> = BTreeMap::new();
-        for (key, weight) in order {
-            let target = (0..shard_count)
-                .min_by_key(|i| (loads[*i], occupancy[*i], *i))
-                .expect("shard_count >= 1");
-            loads[target] += weight;
-            occupancy[target] += 1;
-            assignment.insert(key, target);
-        }
-
-        let mut shards: Vec<Vec<&mut L>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for (key, lane) in lanes.iter_mut() {
-            shards[assignment[key]].push(lane);
-        }
-        for (i, shard) in shards.iter().enumerate() {
-            self.stats.shards[i].units = shard.len();
-        }
-
-        let barrier = SpinBarrier::new(shard_count + 1);
-        let stop = AtomicBool::new(false);
-        let round_cells: Vec<AtomicUsize> = (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
-
-        let mut total = 0usize;
-        let mut rounds = 0usize;
-        let mut quiescent = false;
-        std::thread::scope(|scope| {
-            for (i, mut shard) in shards.into_iter().enumerate() {
-                let barrier = &barrier;
-                let stop = &stop;
-                let round_cell = &round_cells[i];
-                scope.spawn(move || loop {
-                    barrier.wait(); // round start (or stop)
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let mut work = 0usize;
-                    for lane in shard.iter_mut() {
-                        work += lane.lane_round(now_ns);
-                    }
-                    round_cell.store(work, Ordering::Release);
-                    barrier.wait(); // round done → hub runs
-                });
-            }
-
-            loop {
-                barrier.wait(); // round start
-                barrier.wait(); // round done
-                let mut poll_sum = 0usize;
-                let mut poll_max = 0usize;
-                for (i, cell) in round_cells.iter().enumerate() {
-                    let w = cell.load(Ordering::Acquire);
-                    poll_sum += w;
-                    poll_max = poll_max.max(w);
-                    self.stats.shards[i].poll_work += w as u64;
-                }
-                let (hub_work, frames) = hub(now_ns);
-                let work = poll_sum + hub_work;
-                rounds += 1;
-                total += work;
-                self.stats.poll_work += poll_sum as u64;
-                self.stats.hub_work += hub_work as u64;
-                self.stats.barrier_frames += frames as u64;
-                self.stats.serial_work += work as u64;
-                self.stats.critical_work += (poll_max + hub_work) as u64;
-                if work == 0 {
-                    quiescent = true;
-                    break;
-                }
-                if rounds >= max_rounds {
-                    quiescent = false;
-                    break;
-                }
-            }
-            stop.store(true, Ordering::Release);
-            barrier.wait(); // workers observe stop and exit
-        });
-
-        StepOutcome {
-            work: total,
-            rounds,
-            quiescent,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1035,167 +786,6 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), PARTIES * GENERATIONS);
-    }
-
-    /// A synthetic share lane for `drive_lanes`: fixed work per round for a
-    /// fixed number of rounds, frames pushed to a per-lane channel the hub
-    /// merges in key order.
-    struct MockLane {
-        id: u32,
-        load: usize,
-        busy_rounds: usize,
-        rounds_done: usize,
-        tx: UnboundedProducer<(u32, usize)>,
-    }
-
-    impl LaneUnit for MockLane {
-        fn lane_round(&mut self, _now_ns: u64) -> usize {
-            if self.rounds_done >= self.busy_rounds {
-                return 0;
-            }
-            self.rounds_done += 1;
-            for item in 0..self.load {
-                self.tx.push((self.id, item));
-            }
-            self.load
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn lane_rig(
-        n: u32,
-    ) -> (
-        BTreeMap<u32, MockLane>,
-        BTreeMap<u32, UnboundedConsumer<(u32, usize)>>,
-    ) {
-        let mut lanes = BTreeMap::new();
-        let mut rxs = BTreeMap::new();
-        for id in 0..n {
-            let (tx, rx) = unbounded();
-            lanes.insert(
-                id,
-                MockLane {
-                    id,
-                    load: 5 * id as usize + 2,
-                    busy_rounds: id as usize % 3 + 1,
-                    rounds_done: 0,
-                    tx,
-                },
-            );
-            rxs.insert(id, rx);
-        }
-        (lanes, rxs)
-    }
-
-    fn run_lane_step(
-        threads: usize,
-        n: u32,
-        weights: &BTreeMap<u32, u64>,
-    ) -> (StepOutcome, Vec<(u32, usize)>, ExecStats) {
-        let (mut lanes, mut rxs) = lane_rig(n);
-        let mut log = Vec::new();
-        let mut exec = ShardedExecutor::new(threads);
-        exec.note_begin_work(3);
-        let outcome = exec.drive_lanes(
-            &mut lanes,
-            weights,
-            |_now| {
-                let before = log.len();
-                for rx in rxs.values_mut() {
-                    rx.drain_into(&mut log);
-                }
-                let frames = log.len() - before;
-                (frames, frames)
-            },
-            0,
-            64,
-        );
-        exec.note_close_work(2);
-        (outcome, log, exec.stats().clone())
-    }
-
-    /// Lane mode keeps the executor's core promise: the merged report
-    /// stream, the outcome, and every thread-count-independent counter are
-    /// identical for any thread count and any weight vector.
-    #[test]
-    fn lane_merge_order_is_identical_for_any_thread_count() {
-        let no_weights = BTreeMap::new();
-        let (serial, log1, s1) = run_lane_step(1, 8, &no_weights);
-        // A deliberately misleading weight vector: placement may be bad,
-        // bytes must not change.
-        let skewed: BTreeMap<u32, u64> = (0..8u32).map(|id| (id, 1000 - id as u64)).collect();
-        for threads in [2, 3, 4, 8] {
-            for weights in [&no_weights, &skewed] {
-                let (sharded, log_n, sn) = run_lane_step(threads, 8, weights);
-                assert_eq!(sharded, serial, "outcome diverged at {threads} threads");
-                assert_eq!(log_n, log1, "merge order diverged at {threads} threads");
-                assert_eq!(sn.serial_work, s1.serial_work);
-                assert_eq!(sn.rounds, s1.rounds);
-                assert_eq!(sn.poll_work, s1.poll_work);
-                assert_eq!(sn.hub_work, s1.hub_work);
-                assert_eq!(sn.barrier_frames, s1.barrier_frames);
-                assert_eq!(sn.begin_work, 3);
-                assert_eq!(sn.close_work, 2);
-            }
-        }
-    }
-
-    /// Weighted dealing beats round-robin where it matters: heavy lanes
-    /// spread across shards instead of stacking, so the critical path sits
-    /// near the heaviest lane's own work rather than a pile of them.
-    #[test]
-    fn weighted_dealing_balances_uneven_lanes() {
-        // 8 lanes with loads 2, 7, …, 37, each busy for exactly one round,
-        // and weights matching the loads (as a converged previous step
-        // would report). LPT on 4 shards pairs 37+2, 32+7, 27+12, 22+17 —
-        // every shard polls exactly 39.
-        let mut lanes = BTreeMap::new();
-        let mut rxs = BTreeMap::new();
-        for id in 0..8u32 {
-            let (tx, rx) = unbounded();
-            lanes.insert(
-                id,
-                MockLane {
-                    id,
-                    load: 5 * id as usize + 2,
-                    busy_rounds: 1,
-                    rounds_done: 0,
-                    tx,
-                },
-            );
-            rxs.insert(id, rx);
-        }
-        let weights: BTreeMap<u32, u64> = (0..8u32).map(|id| (id, 5 * id as u64 + 2)).collect();
-        let mut exec = ShardedExecutor::new(4);
-        let mut sink = Vec::new();
-        exec.drive_lanes(
-            &mut lanes,
-            &weights,
-            |_| {
-                let mut n = 0;
-                for rx in rxs.values_mut() {
-                    n += rx.drain_into(&mut sink);
-                }
-                (n, n)
-            },
-            0,
-            64,
-        );
-        let stats = exec.stats();
-        assert_eq!(stats.threads, 4);
-        let mut units: Vec<usize> = stats.shards.iter().map(|s| s.units).collect();
-        units.sort();
-        assert_eq!(units, vec![2, 2, 2, 2]);
-        for shard in &stats.shards {
-            assert_eq!(shard.poll_work, 39, "LPT must balance the lane loads");
-        }
-        // Round-robin dealing in key order would have put lanes {3, 7} on
-        // one shard: 17 + 37 = 54 on the critical path. The balanced deal
-        // caps the poll part of the critical path at 39.
-        let total_poll: u64 = stats.shards.iter().map(|s| s.poll_work).sum();
-        assert_eq!(total_poll, stats.poll_work);
-        assert!(stats.critical_work >= stats.hub_work);
-        assert!(stats.modeled_speedup() > 1.0);
     }
 
     /// More threads than units degrades gracefully to one unit per shard.

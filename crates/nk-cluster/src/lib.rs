@@ -36,4 +36,4 @@ pub mod exec;
 
 pub use cluster::{Cluster, ClusterStats};
 pub use evac::{ControlLogEntry, EvacFault, EvacFaultKind, EvacReport};
-pub use exec::{ExecStats, LaneUnit, ShardStats, ShardedExecutor, StepOutcome, StepUnit};
+pub use exec::{ExecStats, ShardStats, ShardedExecutor, StepOutcome, StepUnit};

@@ -83,14 +83,6 @@ enum Forward {
 /// All port maps are `BTreeMap`s and every polling round visits VMs and
 /// NSMs in ascending id order — the engine is bit-for-bit deterministic
 /// across runs, which the seeded fault-injection scenarios rely on.
-///
-/// The fixed id order is also what makes the engine *decomposable*: VMs of
-/// disjoint NSM share groups never touch each other's ports, table entries
-/// or queues, so polling a subset of the id space commutes with polling the
-/// rest. [`CoreEngine::extract_shard`] carves one share group out into its
-/// own engine (polled on a worker thread as part of a share lane) and
-/// [`CoreEngine::absorb_shard`] merges it back, with the whole-engine poll
-/// and the group-by-group polls producing byte-identical state.
 pub struct CoreEngine {
     vms: BTreeMap<VmId, VmPort>,
     nsms: BTreeMap<NsmId, NsmPort>,
@@ -406,83 +398,6 @@ impl CoreEngine {
         Ok(qs)
     }
 
-    // ---- Share-lane decomposition --------------------------------------------
-
-    /// Registered VM ids, in order — the census share-lane grouping runs
-    /// over.
-    pub fn vm_ids(&self) -> Vec<VmId> {
-        self.vms.keys().copied().collect()
-    }
-
-    /// Every ⟨VM, NSM⟩ relation the engine holds: the VM's current mapping
-    /// plus one edge per pinned tuple. Two NSMs reachable from one VM must
-    /// land in the same share lane (they share the VM's ports, hugepage
-    /// region and table entries), so lane grouping takes the connected
-    /// components of exactly these edges.
-    pub fn vm_nsm_edges(&self) -> Vec<(VmId, NsmId)> {
-        let mut edges: Vec<(VmId, NsmId)> = self.mapping.iter().map(|(v, n)| (*v, *n)).collect();
-        edges.extend(self.table.vm_nsm_pairs());
-        edges
-    }
-
-    /// Carve one share group — `vms` with their ports, table entries,
-    /// mapping and freeze flags, plus the `nsms` ports — out into a
-    /// self-contained engine, to be polled on a worker thread as part of a
-    /// share lane. The group must be closed under [`CoreEngine::vm_nsm_edges`]
-    /// (no edge may cross into the remainder); given that, polling the
-    /// extracted engine and the remainder in any interleaving is
-    /// byte-identical to polling the whole engine, because the two halves
-    /// touch disjoint ports, queues and table entries and id order is
-    /// preserved within each half.
-    ///
-    /// The shard starts with zeroed [`EngineStats`];
-    /// [`CoreEngine::absorb_shard`] adds them back.
-    pub fn extract_shard(&mut self, vms: &[VmId], nsms: &[NsmId]) -> CoreEngine {
-        let mut shard = CoreEngine::new(self.isolation.clone(), self.batch);
-        for id in nsms {
-            if let Some(port) = self.nsms.remove(id) {
-                shard.nsms.insert(*id, port);
-            }
-        }
-        for vm in vms {
-            if let Some(port) = self.vms.remove(vm) {
-                shard.vms.insert(*vm, port);
-            }
-            if let Some(nsm) = self.mapping.remove(vm) {
-                shard.mapping.insert(*vm, nsm);
-            }
-            if self.frozen.remove(vm) {
-                shard.frozen.insert(*vm);
-            }
-            for (key, entry) in self.table.extract_vm(*vm) {
-                shard.table.install(key, entry);
-            }
-        }
-        shard
-    }
-
-    /// Merge a shard produced by [`CoreEngine::extract_shard`] back in. The
-    /// shard's switch counters are added; its `poll_rounds` is *not* — the
-    /// resident engine is polled once per host round even while shards are
-    /// out (it serves ungrouped VMs and parked crash events), so its own
-    /// counter already tracks host rounds exactly as an undecomposed poll
-    /// loop would.
-    pub fn absorb_shard(&mut self, mut shard: CoreEngine) {
-        self.nsms.append(&mut shard.nsms);
-        let vms: Vec<VmId> = shard.vms.keys().copied().collect();
-        for vm in vms {
-            for (key, entry) in shard.table.extract_vm(vm) {
-                self.table.install(key, entry);
-            }
-        }
-        self.vms.append(&mut shard.vms);
-        self.mapping.append(&mut shard.mapping);
-        self.frozen.append(&mut shard.frozen);
-        self.stats.nqes_switched += shard.stats.nqes_switched;
-        self.stats.wakeups += shard.stats.wakeups;
-        self.stats.conn_resets += shard.stats.conn_resets;
-    }
-
     /// Hash a VM tuple onto one of `sets` NSM queue sets (§4.3 step 2) —
     /// shared by fresh pinning and warm-migration installation.
     fn pick_nsm_queue_set(
@@ -520,9 +435,8 @@ impl CoreEngine {
         // Fixed ascending-id order. (An earlier version rotated a
         // round-robin start cursor across VMs for fairness under
         // backpressure; the rotation coupled every VM's poll position to
-        // the whole host's VM census, which made whole-engine and
-        // per-share-group polling diverge. Fairness under a full NSM queue
-        // now comes from the per-VM stall queues alone.)
+        // the whole host's VM census. Fairness under a full NSM queue now
+        // comes from the per-VM stall queues alone.)
         self.vm_scratch.clear();
         self.vm_scratch.extend(self.vms.keys().copied());
         for i in 0..self.vm_scratch.len() {
@@ -1155,116 +1069,6 @@ mod tests {
         ce.remap_vm(VmId(1), NsmId(2)).unwrap();
         assert!(ce.mapped_vms(NsmId(1)).is_empty());
         assert_eq!(ce.mapped_vms(NsmId(2)), vec![VmId(1)]);
-    }
-
-    /// Polling an extracted share group and the remainder separately is
-    /// byte-identical to polling the whole engine — the commutation property
-    /// the share-lane decomposition rests on — and `absorb_shard` restores
-    /// the undecomposed engine (stats, pins, datapath).
-    #[test]
-    fn extract_and_absorb_shard_match_whole_engine_poll() {
-        // Two disjoint ⟨VM, NSM⟩ groups per engine; rig A polls whole,
-        // rig B extracts group 2 as a shard and polls the halves separately.
-        let rig = || {
-            let mut guests = Vec::new();
-            let mut nsm_ends = Vec::new();
-            let mut ce = CoreEngine::new(IsolationPolicy::RoundRobin, 4);
-            for id in 1u8..=2 {
-                let (guest, vm_end) = queue_set_pair(64);
-                let (nsm_switch, nsm_end) = queue_set_pair(64);
-                ce.register_vm(VmId(id), vec![vm_end], WakeState::new(), 0, None, None, 0)
-                    .unwrap();
-                ce.register_nsm(NsmId(id), vec![nsm_switch]).unwrap();
-                ce.map_vm(VmId(id), NsmId(id)).unwrap();
-                guests.push(guest);
-                nsm_ends.push(nsm_end);
-            }
-            (guests, nsm_ends, ce)
-        };
-        let (mut guests_a, mut nsms_a, mut whole) = rig();
-        let (mut guests_b, mut nsms_b, mut host) = rig();
-
-        let submit = |guests: &mut Vec<nk_queue::RequesterEnd>| {
-            for (i, sock) in [(0usize, 5u32), (1, 6), (1, 7)] {
-                guests[i]
-                    .submit(Nqe::new(
-                        OpType::Connect,
-                        VmId(i as u8 + 1),
-                        QueueSetId(0),
-                        SocketId(sock),
-                    ))
-                    .unwrap();
-            }
-        };
-        submit(&mut guests_a);
-        submit(&mut guests_b);
-
-        // The census and edge views feed lane grouping.
-        assert_eq!(host.vm_ids(), vec![VmId(1), VmId(2)]);
-        let mut edges = host.vm_nsm_edges();
-        edges.sort();
-        assert_eq!(edges, vec![(VmId(1), NsmId(1)), (VmId(2), NsmId(2))]);
-
-        whole.poll(0);
-        let mut shard = host.extract_shard(&[VmId(2)], &[NsmId(2)]);
-        shard.poll(0);
-        host.poll(0);
-
-        // Same requests arrive at the NSM side either way; answer them so
-        // the response direction is exercised too.
-        let pump = |nsms: &mut Vec<nk_queue::ResponderEnd>| {
-            for end in nsms.iter_mut() {
-                let mut reqs = Vec::new();
-                end.pop_requests(&mut reqs, 16);
-                for r in &reqs {
-                    let comp = Nqe::completion_for(r, OpResult::Ok, 100 + r.socket.raw()).unwrap();
-                    end.respond(comp).unwrap();
-                }
-            }
-        };
-        pump(&mut nsms_a);
-        pump(&mut nsms_b);
-        whole.poll(0);
-        shard.poll(0);
-        host.poll(0);
-        host.absorb_shard(shard);
-
-        // Pin edges now exist in the table; both views must agree.
-        let mut ea = whole.vm_nsm_edges();
-        ea.sort();
-        let mut eb = host.vm_nsm_edges();
-        eb.sort();
-        assert_eq!(ea, eb);
-        assert_eq!(whole.connections(), host.connections());
-        assert_eq!(whole.stats().nqes_switched, host.stats().nqes_switched);
-        assert_eq!(whole.stats().wakeups, host.stats().wakeups);
-        assert_eq!(whole.stats().conn_resets, host.stats().conn_resets);
-        for id in 1u8..=2 {
-            assert_eq!(
-                whole.vm_stats(VmId(id)).unwrap(),
-                host.vm_stats(VmId(id)).unwrap(),
-                "vm {id} stats diverged"
-            );
-        }
-        // Guests see identical completion streams.
-        for (ga, gb) in guests_a.iter_mut().zip(guests_b.iter_mut()) {
-            loop {
-                let (a, b) = (ga.pop_completion(), gb.pop_completion());
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-        // The absorbed engine keeps switching: a close on the re-absorbed
-        // group still routes to its pinned NSM.
-        guests_b[1]
-            .submit(Nqe::new(OpType::Close, VmId(2), QueueSetId(0), SocketId(6)))
-            .unwrap();
-        host.poll(0);
-        let mut v = Vec::new();
-        assert_eq!(nsms_b[1].pop_requests(&mut v, 8), 1);
-        assert_eq!(v[0].op, OpType::Close);
     }
 
     #[test]

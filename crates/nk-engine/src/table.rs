@@ -118,18 +118,6 @@ impl ConnTable {
         true
     }
 
-    /// Every ⟨VM, NSM⟩ relation currently pinned, one per entry (a VM with
-    /// several tuples on one NSM appears repeatedly), in `ConnKey` order.
-    /// Share-lane grouping unions over these edges; the order is pinned by
-    /// a regression test anyway so no caller can come to depend on an
-    /// unstable walk.
-    pub fn vm_nsm_pairs(&self) -> Vec<(VmId, NsmId)> {
-        self.entries
-            .iter()
-            .map(|(k, e)| (VmId(k.entity), e.nsm))
-            .collect()
-    }
-
     /// Number of connections currently mapped to `nsm`.
     pub fn connections_for_nsm(&self, nsm: NsmId) -> usize {
         self.entries.values().filter(|e| e.nsm == nsm).count()
@@ -253,8 +241,8 @@ mod tests {
     /// Iteration-order pin: the table's walk order is part of the
     /// determinism contract. Entries inserted in scrambled order must come
     /// back in `ConnKey` order from every iterating accessor — a regression
-    /// to a hash-ordered map would scramble `vm_nsm_pairs` (share-lane
-    /// grouping input) and `remove_nsm` (guest notification order) between
+    /// to a hash-ordered map would scramble `entries_for_vm` (warm-migration
+    /// export order) and `remove_nsm` (guest notification order) between
     /// runs and break byte-identical replay.
     #[test]
     fn iteration_order_is_key_sorted_regardless_of_insertion_order() {
@@ -270,21 +258,9 @@ mod tests {
         ] {
             t.get_or_insert_with(key(vm, qs, sock), || (NsmId(nsm), QueueSetId(0)));
         }
-        let pairs = t.vm_nsm_pairs();
         let keys: Vec<ConnKey> = t.entries_for_vm(VmId(1)).iter().map(|(k, _)| *k).collect();
         // Exact pinned orders (ConnKey orders by entity, then queue set,
         // then socket).
-        assert_eq!(
-            pairs,
-            vec![
-                (VmId(1), NsmId(2)),
-                (VmId(1), NsmId(1)),
-                (VmId(1), NsmId(1)),
-                (VmId(2), NsmId(2)),
-                (VmId(3), NsmId(1)),
-                (VmId(3), NsmId(2)),
-            ]
-        );
         assert_eq!(keys, vec![key(1, 0, 1), key(1, 0, 5), key(1, 1, 2)]);
         let victims = t.remove_nsm(NsmId(2));
         assert_eq!(victims, vec![key(1, 0, 1), key(2, 1, 1), key(3, 1, 9)]);

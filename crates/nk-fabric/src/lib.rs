@@ -12,9 +12,7 @@
 //! * [`tor`] — the prefix-routed top-of-rack switch joining host uplinks
 //!   into one cluster fabric;
 //! * [`uplink`] — the host↔ToR trunk as a pair of wait-free SPSC channels,
-//!   the cross-thread edge between a host shard and the coordinator;
-//! * [`share`] — the share-lane → host-hub report channel, the cross-thread
-//!   edge of intra-host sharding;
+//!   the only cross-thread edge of the sharded cluster datapath;
 //! * [`nic`] — a multi-queue NIC front-end with receive-side scaling (RSS),
 //!   used by multi-core stacks to spread connections over queues;
 //! * [`rng`] — a tiny deterministic PRNG so loss/reordering are reproducible.
@@ -26,7 +24,6 @@ pub mod link;
 pub mod nic;
 pub mod port;
 pub mod rng;
-pub mod share;
 pub mod switch;
 pub mod tor;
 pub mod uplink;
@@ -34,7 +31,6 @@ pub mod uplink;
 pub use link::{Link, LinkConfig};
 pub use nic::MultiQueueNic;
 pub use port::{Frame, Port};
-pub use share::{share_edge, ShareRx, ShareTx};
 pub use switch::{UplinkStats, VirtualSwitch};
 pub use tor::TorSwitch;
 pub use uplink::{uplink_pair, HostUplink, TorUplink};

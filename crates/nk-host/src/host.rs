@@ -1,13 +1,11 @@
 //! Assembling a NetKernel host (and the baseline it is compared against).
 
 use crate::faults::{FaultInjector, FaultStats};
-use crate::lane::{LaneReport, ShareLane};
 use crate::sched::{Pollable, SchedPhase, SchedStats, Scheduler};
 use nk_ctrl::{ControlPlane, EpochSample, NsmLoad};
 use nk_engine::CoreEngine;
 use nk_fabric::link::LinkConfig;
 use nk_fabric::port::Port;
-use nk_fabric::share::{share_edge, ShareRx};
 use nk_fabric::switch::{UplinkStats, VirtualSwitch};
 use nk_fabric::uplink::HostUplink;
 use nk_guest::GuestLib;
@@ -36,7 +34,7 @@ pub use nk_types::migrate::VmExport;
 /// block (see [`nk_types::addr::nsm_ip_on`]).
 pub const NSM_IP_BASE: u32 = nk_types::addr::CLUSTER_IP_BASE;
 
-pub(crate) enum NsmInstance {
+enum NsmInstance {
     /// Both variants are boxed: the instances are large (a TCP NSM carries
     /// a whole stack) and live in a map the host iterates every step.
     Tcp(Box<Nsm>),
@@ -159,14 +157,6 @@ pub struct NetKernelHost {
     /// plus the fault events applied this interval. A cluster drains it at
     /// the round barrier; a bare host reads it directly.
     obs: HostFeed,
-    /// Hub ends of the share-lane report edges while the host is split into
-    /// lanes ([`NetKernelHost::split_lanes`]); drained in key order every
-    /// hub round, empty outside a lane phase.
-    lane_rx: BTreeMap<NsmId, ShareRx<LaneReport>>,
-    /// Work done per lane since the last [`NetKernelHost::take_lane_loads`],
-    /// accumulated from the lanes' reports — the weight signal for the
-    /// executor's lane placement.
-    lane_loads: BTreeMap<NsmId, u64>,
     now_ns: u64,
 }
 
@@ -269,8 +259,6 @@ impl NetKernelHost {
             epoch_vm_bytes: BTreeMap::new(),
             import_fail_budget: 0,
             obs: HostFeed::new(),
-            lane_rx: BTreeMap::new(),
-            lane_loads: BTreeMap::new(),
             now_ns: 0,
         })
     }
@@ -558,189 +546,6 @@ impl NetKernelHost {
             work += Pollable::poll(&mut remote.stack, now_ns);
         }
         work + Pollable::poll(&mut self.switch, now_ns)
-    }
-
-    // ---- Intra-host sharding (share lanes + hub) -----------------------------
-    //
-    // `split_lanes` carves the host's datapath into independently pollable
-    // NSM share groups for the duration of a step's poll phase; `hub_round`
-    // is the serial remainder the coordinator polls at the round barrier;
-    // `absorb_lanes` puts the host back together before the control phase.
-    // The decomposed round order — lanes (each: engine shard, then member
-    // NSMs) in any interleaving, then hub (resident engine, remotes,
-    // switch) — is byte-identical to `poll_datapath`, because the grouping
-    // closes over every VM↔NSM edge: components of different lanes touch
-    // disjoint ports, queues, table entries and hugepage regions, so their
-    // polls commute, and the per-group relative order matches the serial
-    // one. All control-plane mutation (faults, freezes, migration,
-    // restarts) happens outside the poll phase, on the re-assembled host.
-
-    /// Split the datapath into share lanes: the connected components of the
-    /// VM↔NSM edge relation (engine mapping, connection-table pins, NSM-held
-    /// VM state, draining shares), keyed by each group's smallest NSM id.
-    /// VMs reachable from no live NSM (e.g. mapped to a crashed share) stay
-    /// resident in the host's engine and are served by the hub exactly as
-    /// the serial poll would. The host keeps the hub end of each lane's
-    /// report edge; callers must poll [`ShareLane::poll_round`] before each
-    /// [`NetKernelHost::hub_round`] and eventually hand every lane back to
-    /// [`NetKernelHost::absorb_lanes`].
-    pub fn split_lanes(&mut self) -> BTreeMap<NsmId, ShareLane> {
-        // Union-find over NSM ids, linking larger roots under smaller ones
-        // so every root is its group's minimum — the lane key.
-        let mut parent: BTreeMap<NsmId, NsmId> = self.nsms.keys().map(|id| (*id, *id)).collect();
-        fn find(parent: &mut BTreeMap<NsmId, NsmId>, id: NsmId) -> NsmId {
-            let mut root = id;
-            while parent[&root] != root {
-                root = parent[&root];
-            }
-            let mut cur = id;
-            while parent[&cur] != root {
-                let next = parent[&cur];
-                parent.insert(cur, root);
-                cur = next;
-            }
-            root
-        }
-
-        // Every VM↔NSM edge that implies shared state; NSMs sharing a VM
-        // fuse into one lane.
-        let mut vm_nsms: BTreeMap<VmId, Vec<NsmId>> = BTreeMap::new();
-        let note = |vm: VmId, nsm: NsmId, vm_nsms: &mut BTreeMap<VmId, Vec<NsmId>>| {
-            if self.nsms.contains_key(&nsm) {
-                vm_nsms.entry(vm).or_default().push(nsm);
-            }
-        };
-        for (vm, nsm) in self.engine.vm_nsm_edges() {
-            note(vm, nsm, &mut vm_nsms);
-        }
-        for vm in self.engine.vm_ids() {
-            for (id, nsm) in self.nsms.iter() {
-                if nsm.has_vm(vm) {
-                    vm_nsms.entry(vm).or_default().push(*id);
-                }
-            }
-        }
-        for (vm, nsm) in self.draining.iter() {
-            if self.nsms.contains_key(nsm) {
-                vm_nsms.entry(*vm).or_default().push(*nsm);
-            }
-        }
-        for nsms in vm_nsms.values() {
-            for pair in nsms.windows(2) {
-                let (a, b) = (find(&mut parent, pair[0]), find(&mut parent, pair[1]));
-                if a != b {
-                    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                    parent.insert(hi, lo);
-                }
-            }
-        }
-
-        // Assemble groups: member NSMs and the VMs reaching them.
-        let mut group_nsms: BTreeMap<NsmId, Vec<NsmId>> = BTreeMap::new();
-        let nsm_ids: Vec<NsmId> = self.nsms.keys().copied().collect();
-        for id in nsm_ids {
-            let root = find(&mut parent, id);
-            group_nsms.entry(root).or_default().push(id);
-        }
-        let mut group_vms: BTreeMap<NsmId, Vec<VmId>> = BTreeMap::new();
-        for (vm, nsms) in &vm_nsms {
-            let root = find(&mut parent, nsms[0]);
-            group_vms.entry(root).or_default().push(*vm);
-        }
-
-        let mut lanes = BTreeMap::new();
-        for (key, members) in group_nsms {
-            let vms = group_vms.remove(&key).unwrap_or_default();
-            let engine = self.engine.extract_shard(&vms, &members);
-            let mut member_map = BTreeMap::new();
-            for id in members {
-                let nsm = self.nsms.remove(&id).expect("grouped NSMs are live");
-                member_map.insert(id, nsm);
-            }
-            let (tx, rx) = share_edge();
-            self.lane_rx.insert(key, rx);
-            lanes.insert(
-                key,
-                ShareLane {
-                    key,
-                    engine,
-                    members: member_map,
-                    tx,
-                },
-            );
-        }
-        lanes
-    }
-
-    /// The hub's share of one poll round while the host is split into
-    /// lanes: poll the resident engine (ungrouped VMs — also what keeps
-    /// `EngineStats::poll_rounds` counting host rounds exactly as an
-    /// undecomposed poll loop would), drain every lane's reports in key
-    /// order into the cycle ledgers and the lane load counters, then poll
-    /// remote stacks and the virtual switch. Returns only the work done
-    /// *here* — lane work reaches the executor through the lanes' own
-    /// return values, and counting it twice would skew quiescence.
-    pub fn hub_round(&mut self, now_ns: u64) -> usize {
-        let charge = self.accounting;
-        let resident_work = Pollable::poll(&mut self.engine, now_ns);
-        let mut engine_total = resident_work as u64;
-        let per_item = self.cost.nqe_translate + self.cost.kernel_tx.per_msg;
-        let pools = &mut self.pools;
-        let lane_loads = &mut self.lane_loads;
-        for (key, rx) in self.lane_rx.iter_mut() {
-            let mut lane_load = 0u64;
-            rx.drain_with(|report| match report {
-                LaneReport::Engine { work } => {
-                    engine_total += work;
-                    lane_load += work;
-                }
-                LaneReport::Nsm { id, work } => {
-                    if charge && work > 0 {
-                        let cycles = (work as f64 * per_item) as u64;
-                        pools.charge_up_to(PoolMember::Nsm(id), cycles);
-                    }
-                    lane_load += work;
-                }
-            });
-            if lane_load > 0 {
-                *lane_loads.entry(*key).or_insert(0) += lane_load;
-            }
-        }
-        // One engine charge per round over the summed shard work — the cost
-        // curve is batched, so summing before costing matches the serial
-        // single-poll charge exactly.
-        if charge && engine_total > 0 {
-            let cycles = self.cost.switch_cost(engine_total, self.cfg.batch_size);
-            self.pools.charge_up_to(PoolMember::Engine, cycles as u64);
-        }
-        let mut work = resident_work;
-        for remote in self.remotes.values_mut() {
-            work += Pollable::poll(&mut remote.stack, now_ns);
-        }
-        work + Pollable::poll(&mut self.switch, now_ns)
-    }
-
-    /// Merge lanes produced by [`NetKernelHost::split_lanes`] back into the
-    /// host (engine shards re-absorbed, NSM instances re-inserted, report
-    /// edges dropped). Must be called with every outstanding lane before
-    /// any control-plane operation touches the host.
-    pub fn absorb_lanes(&mut self, lanes: BTreeMap<NsmId, ShareLane>) {
-        for (key, lane) in lanes {
-            debug_assert_eq!(key, lane.key);
-            self.engine.absorb_shard(lane.engine);
-            let mut members = lane.members;
-            self.nsms.append(&mut members);
-            self.lane_rx.remove(&key);
-        }
-        debug_assert!(self.lane_rx.is_empty(), "a lane was never handed back");
-    }
-
-    /// Work done per lane since the last call, from the lanes' barrier
-    /// reports — consumed by the executor's weighted lane placement. Lane
-    /// keys are stable for a fixed topology, so last step's loads seed this
-    /// step's dealing.
-    pub fn take_lane_loads(&mut self) -> BTreeMap<NsmId, u64> {
-        std::mem::take(&mut self.lane_loads)
     }
 
     // ---- The operator control plane ------------------------------------------
@@ -1860,162 +1665,6 @@ mod tests {
         let n = g1.recv(conn, &mut buf).unwrap();
         assert_eq!(&buf[..n], b"colocated traffic");
         assert_eq!(host.shm_stats(NsmId(1)).unwrap().pairs, 1);
-    }
-
-    /// Driving a split host — lanes polled to quiescence, hub at each round
-    /// barrier — is byte-identical to the serial cluster-facing protocol:
-    /// same round count, same stats, same bytes on the wire. This is the
-    /// host-level commutation property intra-host sharding rests on.
-    #[test]
-    fn lane_decomposition_matches_serial_poll_protocol() {
-        let rig = || {
-            let cfg = HostConfig::new()
-                .with_vm(VmConfig::new(VmId(1)))
-                .with_vm(VmConfig::new(VmId(2)))
-                .with_nsm(NsmConfig::kernel(NsmId(1)))
-                .with_nsm(NsmConfig::kernel(NsmId(2)))
-                .with_mapping(VmToNsmPolicy::Static(vec![
-                    (VmId(1), NsmId(1)),
-                    (VmId(2), NsmId(2)),
-                ]));
-            let mut host = NetKernelHost::new(cfg).unwrap();
-            host.enable_pool_accounting(Some(2_000_000_000));
-            let remote = host.add_remote(REMOTE_IP);
-            let ls = remote.socket();
-            remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-            remote.listen(ls, 16).unwrap();
-            let mut socks = Vec::new();
-            for vm in [VmId(1), VmId(2)] {
-                let guest = host.guest_mut(vm).unwrap();
-                let s = guest.socket().unwrap();
-                guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
-                socks.push((vm, s));
-            }
-            (host, ls, socks)
-        };
-        let (mut serial, ls_a, socks_a) = rig();
-        let (mut laned, ls_b, socks_b) = rig();
-
-        let mut rounds_a = Vec::new();
-        let mut rounds_b = Vec::new();
-        for step in 0..24 {
-            // Both hosts get the same guest-side pushes between steps.
-            if step == 8 {
-                for (host, socks) in [(&mut serial, &socks_a), (&mut laned, &socks_b)] {
-                    for (vm, s) in socks {
-                        let guest = host.guest_mut(*vm).unwrap();
-                        assert!(guest.poll(*s).writable(), "connect incomplete");
-                        guest.send(*s, b"lane equivalence payload").unwrap();
-                    }
-                }
-            }
-            serial.begin_step(100_000);
-            let mut rounds = 0;
-            loop {
-                rounds += 1;
-                if serial.poll_round() == 0 {
-                    break;
-                }
-            }
-            serial.end_step();
-            rounds_a.push(rounds);
-
-            laned.begin_step(100_000);
-            let mut lanes = laned.split_lanes();
-            assert_eq!(lanes.len(), 2, "disjoint shares must form two lanes");
-            let mut rounds = 0;
-            loop {
-                rounds += 1;
-                let mut work = 0;
-                // Reverse key order on purpose: lane order must not matter.
-                for lane in lanes.values_mut().rev() {
-                    work += lane.poll_round(laned.now_ns());
-                }
-                work += laned.hub_round(laned.now_ns());
-                if work == 0 {
-                    break;
-                }
-            }
-            laned.absorb_lanes(lanes);
-            laned.end_step();
-            rounds_b.push(rounds);
-        }
-        assert_eq!(rounds_a, rounds_b, "round counts diverged");
-        assert_eq!(serial.engine_stats(), laned.engine_stats());
-        for nsm in [NsmId(1), NsmId(2)] {
-            assert_eq!(
-                serial.nsm_service_stats(nsm),
-                laned.nsm_service_stats(nsm),
-                "nsm {nsm:?} stats diverged"
-            );
-        }
-        for vm in [VmId(1), VmId(2)] {
-            assert_eq!(serial.vm_switch_stats(vm), laned.vm_switch_stats(vm));
-        }
-        let loads = laned.take_lane_loads();
-        assert!(loads.values().all(|w| *w > 0), "lanes reported no load");
-
-        // The payloads crossed identically.
-        for (host, ls) in [(&mut serial, ls_a), (&mut laned, ls_b)] {
-            let remote = host.remote_mut(REMOTE_IP).unwrap();
-            let mut total = 0;
-            while let Ok((conn, _)) = remote.accept(ls) {
-                let mut buf = [0u8; 256];
-                while let Ok(n) = remote.recv(conn, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    total += n;
-                }
-            }
-            assert_eq!(total, 2 * b"lane equivalence payload".len());
-        }
-    }
-
-    /// A VM pinned to two NSM shares (its mapping moved after connections
-    /// were established) fuses both shares into one lane — the split never
-    /// severs a live edge.
-    #[test]
-    fn split_lanes_fuses_shares_linked_by_one_vm() {
-        let cfg = HostConfig::new()
-            .with_vm(VmConfig::new(VmId(1)))
-            .with_vm(VmConfig::new(VmId(2)))
-            .with_nsm(NsmConfig::kernel(NsmId(1)))
-            .with_nsm(NsmConfig::kernel(NsmId(2)))
-            .with_nsm(NsmConfig::kernel(NsmId(3)))
-            .with_mapping(VmToNsmPolicy::Static(vec![
-                (VmId(1), NsmId(1)),
-                (VmId(2), NsmId(3)),
-            ]));
-        let mut host = NetKernelHost::new(cfg).unwrap();
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
-        host.run(20, 100_000);
-
-        // VM 1 keeps its pinned connection on NSM 1 but new connections go
-        // to NSM 2: both shares now share VM 1's state.
-        host.migrate_vm(VmId(1), NsmId(2)).unwrap();
-        let lanes = host.split_lanes();
-        let keys: Vec<NsmId> = lanes.keys().copied().collect();
-        assert_eq!(keys, vec![NsmId(1), NsmId(3)], "NSM 1+2 must fuse");
-        assert_eq!(lanes[&NsmId(1)].key(), NsmId(1));
-        host.absorb_lanes(lanes);
-
-        // The host is whole again: the pinned connection still drains.
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        assert!(guest.poll(s).writable());
-        guest.send(s, b"post-absorb").unwrap();
-        host.run(20, 100_000);
-        let remote = host.remote_mut(REMOTE_IP).unwrap();
-        let (conn, _) = remote.accept(ls).unwrap();
-        let mut buf = [0u8; 64];
-        let n = remote.recv(conn, &mut buf).unwrap();
-        assert_eq!(&buf[..n], b"post-absorb");
     }
 
     /// The same application code runs against the baseline in-guest stack.

@@ -26,14 +26,12 @@
 
 pub mod faults;
 pub mod host;
-pub mod lane;
 pub mod metrics;
 pub mod model;
 pub mod sched;
 
 pub use faults::{FaultInjector, FaultStats};
 pub use host::{BaselineVm, ControlTelemetry, NetKernelHost, RemoteHost, VmExport};
-pub use lane::{LaneReport, ShareLane};
 pub use metrics::{LatencyMeter, ThroughputMeter};
 pub use model::{PerfModel, TrafficDirection};
 pub use sched::{SchedPhase, SchedStats, Scheduler};

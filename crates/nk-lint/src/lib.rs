@@ -1,11 +1,11 @@
 //! nk-lint: the workspace determinism & layering linter.
 //!
 //! Every guarantee this reproduction makes — byte-identical digests, stats,
-//! control logs and `ObsDump`s at any thread count × shard on/off — rests
+//! control logs and `ObsDump`s at any thread count — rests
 //! on coding invariants that no compiler checks: no hash-ordered iteration
 //! in the datapath, no ambient wall-clock or randomness, cross-shard
-//! traffic only over the wait-free SPSC edges, locks kept out of
-//! lane-executed code, `unsafe` always audited, and a strict crate
+//! traffic only over the wait-free SPSC uplinks, locks kept out of
+//! shard-executed code, `unsafe` always audited, and a strict crate
 //! layering. This crate mechanizes that audit as six rule passes over a
 //! pure-Rust token stream (no `syn`, no dependencies at all) plus a CLI:
 //!

@@ -32,9 +32,9 @@ pub const DATAPATH_CRATES: &[&str] = &[
     "nk-ctrl",
 ];
 
-/// Crates whose code runs inside a worker lane: locks here could serialize
-/// or reorder cross-shard traffic, so the wait-free SPSC edges
-/// (`uplink_pair`, `share_edge`) must remain the only cross-shard channel.
+/// Crates whose code runs inside a host shard on a worker thread: locks
+/// here could serialize or reorder cross-shard traffic, so the wait-free
+/// SPSC `uplink_pair` must remain the only cross-shard channel.
 pub const LANE_CRATES: &[&str] = &[
     "nk-engine",
     "nk-netstack",
@@ -414,12 +414,12 @@ pub fn thread_identity(crate_name: &str, file: &SourceFile, findings: &mut Vec<F
         THREAD_IDENTITY,
         file,
         "behaviour keyed on worker-thread identity varies with the shard deal; \
-         key on HostId/lane key instead",
+         key on HostId instead",
         findings,
     );
 }
 
-/// Rule 4: blocking synchronization in lane-executed crates.
+/// Rule 4: blocking synchronization in shard-executed crates.
 pub fn cross_shard_locks(crate_name: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
     if !LANE_CRATES.contains(&crate_name) {
         return;
@@ -428,9 +428,9 @@ pub fn cross_shard_locks(crate_name: &str, file: &SourceFile, findings: &mut Vec
         "cross-shard-locks",
         CROSS_SHARD_LOCKS,
         file,
-        "lane-executed code must not block or exchange data through locks; the \
-         wait-free SPSC edges (`uplink_pair`, `share_edge`) are the only \
-         cross-shard channel — if the lock is provably lane-local, add \
+        "shard-executed code must not block or exchange data through locks; \
+         the wait-free SPSC `uplink_pair` is the only cross-shard channel — \
+         if the lock is provably local to one host, add \
          `// nk-lint: allow(cross-shard-locks) — <reason>`",
         findings,
     );

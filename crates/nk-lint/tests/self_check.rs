@@ -1,6 +1,6 @@
 //! The linter's strongest test: the shipped workspace itself must be
 //! clean. Any regression that reintroduces hash-ordered iteration, ambient
-//! time, thread identity, lane locks, unaudited `unsafe` or an upward
+//! time, thread identity, cross-shard locks, unaudited `unsafe` or an upward
 //! dependency edge fails this test.
 
 use nk_lint::{run_check, Options};

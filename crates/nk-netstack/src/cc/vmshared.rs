@@ -10,8 +10,8 @@
 
 // nk-lint: allow-file(cross-shard-locks) — the shared VM window is cloned
 // only into connections of one VM, which all live on that VM's NSM stack
-// and are ticked by a single lane; the Mutex is same-thread interior
-// mutability, never contended across shards.
+// inside one host, and a host is polled by one worker; the Mutex is
+// same-thread interior mutability, never contended across shards.
 
 use super::{CongestionControl, INITIAL_CWND, MIN_CWND};
 use nk_types::constants::MSS;

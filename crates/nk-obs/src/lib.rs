@@ -34,20 +34,6 @@
 //! of the same seeded scenario — at any `NK_CLUSTER_THREADS` — serialize to
 //! byte-identical dumps; the `flight-recorder-determinism` CI job replays
 //! exactly that.
-//!
-//! Intra-host sharding (`NK_CLUSTER_SHARD_WITHIN_HOSTS`) changes nothing
-//! about this contract, because the recorder never taps a lane directly:
-//! share lanes only *produce* — frames, metric deltas, host-feed entries —
-//! and every capture keeps happening on the coordinator in the same merge
-//! order as the serial walk. Fault and control entries drain from host
-//! feeds in `HostId` order between steps, latency histograms merge in
-//! `HostId` order at epoch seals, and the flow tap sits behind the ToR,
-//! which drains uplink trunks in route (`HostId`) order at the round
-//! barrier — after every host hub has already folded its lanes' traffic
-//! back together in lane-key order. Dumps are therefore byte-identical
-//! across thread counts *and* across sharding granularities; the
-//! uneven-lane matrix in `nk-workload/tests/parallel.rs` pins exactly
-//! that.
 
 mod event;
 mod flows;

@@ -1,9 +1,10 @@
 //! The shared hugepage region and its chunk allocator.
 
 // nk-lint: allow-file(cross-shard-locks) — the region is shared between a
-// guest and the NSMs of one host, all members of the same share lane (lane
-// grouping unions over exactly these edges), so the Mutexes serialise
-// same-lane borrows only; no cross-shard data ever crosses them.
+// guest and the NSMs of one host, and a host and all its components are
+// polled by one worker, so the Mutexes serialise same-shard borrows only;
+// no cross-shard data ever crosses them (`uplink_pair` is the only
+// cross-shard channel).
 
 use nk_types::constants::HUGEPAGE_SIZE;
 use nk_types::{DataHandle, NkError, NkResult};

@@ -255,14 +255,6 @@ pub struct ClusterConfig {
     /// are byte-identical for any value). `1` — the default — is the serial
     /// reference path.
     pub threads: usize,
-    /// Shard *below* the host boundary: every NSM share group of every host
-    /// becomes its own parallel unit (with the host's vNIC switch, ledger
-    /// and resident engine polled serially at the round barrier), so a
-    /// single many-share host can saturate the worker threads. Results stay
-    /// byte-identical to host-granularity sharding and to the serial path
-    /// for any thread count. Defaults to `false` (hosts are the unit).
-    #[serde(default)]
-    pub shard_within_hosts: bool,
     /// Cluster placement policy. `None` leaves placement static (hosts may
     /// still run their own per-host control planes).
     pub policy: Option<ClusterPolicy>,
@@ -278,7 +270,6 @@ impl Default for ClusterConfig {
             uplink_latency_us: 0,
             max_rounds: crate::constants::DEFAULT_POLL_ROUNDS,
             threads: 1,
-            shard_within_hosts: false,
             policy: None,
             obs: ObsConfig::default(),
         }
@@ -321,15 +312,6 @@ impl ClusterConfig {
     /// reference path.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Shard the datapath below the host boundary: NSM share groups become
-    /// the parallel units instead of whole hosts (builder style).
-    /// Determinism is preserved either way; see
-    /// [`ClusterConfig::shard_within_hosts`].
-    pub fn with_shard_within_hosts(mut self, on: bool) -> Self {
-        self.shard_within_hosts = on;
         self
     }
 
@@ -647,7 +629,6 @@ mod tests {
             .with_uplink_rate_gbps(40.0)
             .with_uplink_latency_us(5)
             .with_threads(4)
-            .with_shard_within_hosts(true)
             .with_policy(ClusterPolicy::new().with_pool_clock_hz(1_000_000))
             .with_obs(ObsConfig::new().with_event_capacity(128).with_flow_k(8));
         assert!(cfg.validate().is_ok());
@@ -655,11 +636,15 @@ mod tests {
         let back: ClusterConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
 
-        // Configs serialized before the knob existed still deserialize (the
-        // field defaults off).
-        let legacy = json.replace("\"shard_within_hosts\":true,", "");
-        let back: ClusterConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(!back.shard_within_hosts);
+        // Configs saved while the retired intra-host sharding switch
+        // existed still load: the stale key is ignored.
+        let stale = json.replace(
+            "\"threads\":4,",
+            "\"threads\":4,\"shard_within_hosts\":true,",
+        );
+        assert_ne!(stale, json, "the stale key must actually be present");
+        let back: ClusterConfig = serde_json::from_str(&stale).unwrap();
+        assert_eq!(back, cfg);
     }
 
     /// An enabled recorder with any zero-capacity ring is rejected at

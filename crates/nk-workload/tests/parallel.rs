@@ -409,7 +409,7 @@ fn faulted_evacuation_is_identical_at_any_thread_count() {
 }
 
 /// Everything observable from the uneven-share-count run, for whole-value
-/// comparison across the (threads × shard-mode) matrix.
+/// comparison across the thread matrix.
 #[derive(Debug, PartialEq)]
 struct UnevenRunReport {
     digest: u64,
@@ -421,12 +421,12 @@ struct UnevenRunReport {
     plan_events: Vec<PlanEvent>,
 }
 
-/// A cluster with hosts of 1, 3 and 8 NSM shares — the shape intra-host
-/// sharding exists for — running a warm migration out of the 8-share host
-/// and a mid-plan evacuation rollback of the 3-share host, both crossing
-/// lane boundaries. Every observable, including the serialized `ObsDump`,
-/// must be identical for any thread count and for lane mode on or off.
-fn uneven_run(threads: usize, shard: bool) -> UnevenRunReport {
+/// A cluster with hosts of 1, 3 and 8 NSM shares — deliberately uneven
+/// shard loads — running a warm migration out of the 8-share host and a
+/// mid-plan evacuation rollback of the 3-share host, both crossing host
+/// shards. Every observable, including the serialized `ObsDump`, must be
+/// identical for any thread count.
+fn uneven_run(threads: usize) -> UnevenRunReport {
     let mut host3 = HostConfig::new().with_host_id(HostId(2));
     let mut host8 = HostConfig::new().with_host_id(HostId(3));
     let mut map3 = Vec::new();
@@ -446,7 +446,6 @@ fn uneven_run(threads: usize, shard: bool) -> UnevenRunReport {
     let cfg = ClusterConfig::new()
         .with_uplink_latency_us(2)
         .with_threads(threads)
-        .with_shard_within_hosts(shard)
         .with_host(host(1, &[1]))
         .with_host(host3.with_mapping(VmToNsmPolicy::Static(map3)))
         .with_host(host8.with_mapping(VmToNsmPolicy::Static(map8)));
@@ -474,14 +473,14 @@ fn uneven_run(threads: usize, shard: bool) -> UnevenRunReport {
     cluster.run(10, 100_000);
 
     // A warm migration out of the 8-share host: the pinned connection
-    // leaves its lane on host 3 and lands in host 1's single lane.
+    // leaves host 3 and lands on host 1's single share.
     cluster
         .migrate_vm_warm(VmId(5), HostId(3), HostId(1))
         .expect("warm migration runs");
     cluster.run(10, 100_000);
 
     // A mid-plan evacuation rollback of the 3-share host: the last planned
-    // step refuses, every completed action reverts across lane boundaries.
+    // step refuses, every completed action reverts across host shards.
     let probe = cluster
         .plan_evacuation(HostId(2), 2)
         .expect("plan compiles");
@@ -535,12 +534,10 @@ fn uneven_run(threads: usize, shard: bool) -> UnevenRunReport {
 
 /// Hosts with 1, 3 and 8 shares in one cluster: digests, stats, the
 /// serialized `ObsDump`, the merged control view and every tenant byte
-/// stream are identical at threads 1/2/4 — and identical again with
-/// intra-host sharding on or off, including the serial (1-thread) runs the
-/// acceptance criteria single out.
+/// stream are identical at threads 1/2/4.
 #[test]
-fn uneven_share_counts_are_identical_across_threads_and_shard_modes() {
-    let reference = uneven_run(1, false);
+fn uneven_share_counts_are_identical_across_threads() {
+    let reference = uneven_run(1);
     assert_eq!(reference.stats.warm_migrations, 1, "{:?}", reference.stats);
     assert_eq!(reference.stats.evac_plans, 1);
     assert_eq!(reference.stats.evac_rollbacks, 1);
@@ -558,17 +555,9 @@ fn uneven_share_counts_are_identical_across_threads_and_shard_modes() {
     for stream in &reference.streams {
         assert_eq!(stream, b"seedtail", "streams stay byte-contiguous");
     }
-    for &threads in &THREAD_MATRIX {
-        for shard in [false, true] {
-            if threads == 1 && !shard {
-                continue;
-            }
-            let report = uneven_run(threads, shard);
-            assert_eq!(
-                report, reference,
-                "threads={threads} shard_within_hosts={shard} diverged"
-            );
-        }
+    for &threads in &THREAD_MATRIX[1..] {
+        let report = uneven_run(threads);
+        assert_eq!(report, reference, "threads={threads} diverged");
     }
 }
 

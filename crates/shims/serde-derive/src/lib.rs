@@ -4,18 +4,14 @@
 //! the shim `serde::Serialize` / `serde::Deserialize` traits. The parser
 //! covers the shapes this workspace actually derives on — generic-free named
 //! structs, tuple structs, and enums with unit / tuple / struct variants —
-//! and the generated code keeps serde's external enum tagging. The one field
-//! attribute honoured is `#[serde(default)]` on named-struct fields: a
-//! missing (or `null`) key deserializes to `Default::default()` instead of
-//! erroring, so configs serialized before a field existed keep loading.
+//! and the generated code keeps serde's external enum tagging.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Shape {
     NamedStruct {
         name: String,
-        /// Field name plus whether it carries `#[serde(default)]`.
-        fields: Vec<(String, bool)>,
+        fields: Vec<String>,
     },
     TupleStruct {
         name: String,
@@ -86,39 +82,11 @@ fn strip_attrs_and_vis(chunk: &[TokenTree]) -> &[TokenTree] {
     &chunk[i..]
 }
 
-/// Does this field chunk carry a `#[serde(default)]` attribute?
-fn has_serde_default(chunk: &[TokenTree]) -> bool {
-    let mut i = 0;
-    while i + 1 < chunk.len() {
-        match (&chunk[i], &chunk[i + 1]) {
-            (TokenTree::Punct(p), TokenTree::Group(g))
-                if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
-            {
-                let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                if let (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) =
-                    (inner.first(), inner.get(1))
-                {
-                    if id.to_string() == "serde"
-                        && args.stream().into_iter().any(
-                            |tt| matches!(&tt, TokenTree::Ident(a) if a.to_string() == "default"),
-                        )
-                    {
-                        return true;
-                    }
-                }
-                i += 2;
-            }
-            _ => break,
-        }
-    }
-    false
-}
-
-fn named_fields(stream: TokenStream) -> Vec<(String, bool)> {
+fn named_fields(stream: TokenStream) -> Vec<String> {
     split_top_level(stream)
         .iter()
         .filter_map(|chunk| match strip_attrs_and_vis(chunk).first() {
-            Some(TokenTree::Ident(id)) => Some((id.to_string(), has_serde_default(chunk))),
+            Some(TokenTree::Ident(id)) => Some(id.to_string()),
             _ => None,
         })
         .collect()
@@ -138,14 +106,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
                     VariantKind::Tuple(split_top_level(g.stream()).len())
                 }
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    // `#[serde(default)]` is only honoured on struct fields;
-                    // enum variant fields keep the plain name.
-                    VariantKind::Named(
-                        named_fields(g.stream())
-                            .into_iter()
-                            .map(|(f, _)| f)
-                            .collect(),
-                    )
+                    VariantKind::Named(named_fields(g.stream()))
                 }
                 _ => VariantKind::Unit,
             };
@@ -217,7 +178,7 @@ fn gen_serialize(shape: &Shape) -> String {
         Shape::NamedStruct { name, fields } => {
             let entries: Vec<String> = fields
                 .iter()
-                .map(|(f, _)| {
+                .map(|f| {
                     format!("(String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f}))")
                 })
                 .collect();
@@ -320,18 +281,7 @@ fn gen_deserialize(shape: &Shape) -> String {
         Shape::NamedStruct { name, fields } => {
             let inits: Vec<String> = fields
                 .iter()
-                .map(|(f, defaulted)| {
-                    if *defaulted {
-                        format!(
-                            "{f}: match v.get(\"{f}\") {{\n\
-                                 ::serde::Value::Null => ::core::default::Default::default(),\n\
-                                 present => ::serde::Deserialize::from_value(present)?,\n\
-                             }}"
-                        )
-                    } else {
-                        format!("{f}: ::serde::Deserialize::from_value(v.get(\"{f}\"))?")
-                    }
-                })
+                .map(|f| format!("{f}: ::serde::Deserialize::from_value(v.get(\"{f}\"))?"))
                 .collect();
             header(
                 name,
@@ -451,7 +401,7 @@ fn gen_deserialize(shape: &Shape) -> String {
 }
 
 /// Derive the shim `serde::Serialize`.
-#[proc_macro_derive(Serialize, attributes(serde))]
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let code = format!(
         "#[automatically_derived]\n{}",
@@ -462,7 +412,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derive the shim `serde::Deserialize`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
+#[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let code = format!(
         "#[automatically_derived]\n{}",

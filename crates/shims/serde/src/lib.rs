@@ -5,9 +5,8 @@
 //! model plus [`Serialize`]/[`Deserialize`] traits that convert to and from
 //! it. The derive macros re-exported from `serde_derive` cover exactly the
 //! shapes this codebase uses (named structs, tuple structs, enums with unit,
-//! tuple and struct variants, plus `#[serde(default)]` on struct fields) and
-//! keep serde's external enum tagging, so a later switch to the real serde
-//! is a manifest-only change.
+//! tuple and struct variants) and keep serde's external enum tagging, so a
+//! later switch to the real serde is a manifest-only change.
 
 pub use serde_derive::{Deserialize, Serialize};
 
