@@ -1,28 +1,22 @@
 //! The cluster: hosts behind one top-of-rack switch, one clock, one placer.
 
+use crate::evac::EvacFault;
 use crate::exec::{ExecStats, ShardedExecutor, StepOutcome};
 use nk_ctrl::placer::{ClusterSample, HostLoad, Placer};
-use nk_ctrl::PlanEvent;
+use nk_ctrl::{EvacMode, EvacMove, EvacPlan, PlanEvent};
 use nk_fabric::link::LinkConfig;
 use nk_fabric::tor::TorSwitch;
 use nk_guest::GuestLib;
 use nk_host::NetKernelHost;
 use nk_netstack::{Segment, StackConfig, TcpStack};
-use nk_obs::{FlightRecorder, FlowKey, MigrationPhase, ObsDump, ObsEventKind, PhaseWindow};
+use nk_obs::{FlightRecorder, FlowKey, ObsDump, ObsEventKind};
 use nk_sim::{CycleLedger, Pollable, PoolMember};
 use nk_types::addr::{host_prefix, HOST_PREFIX_MASK};
 use nk_types::{
     ClusterAction, ClusterConfig, ClusterEvent, ControlEvent, HostId, NkError, NkResult, NsmId,
-    StackKind, VmId,
+    StackKind, VmConfig, VmId,
 };
 use std::collections::BTreeMap;
-
-/// Upper bound on freeze-window mini-steps per warm migration. The window
-/// normally closes in two or three steps (one wire round trip plus a
-/// quiescence check); a connection that never goes quiet — a peer streaming
-/// into the VM nonstop — is cut at the bound and recovers through TCP
-/// retransmission.
-pub(crate) const MAX_FREEZE_STEPS: usize = 16;
 
 /// Cluster scheduler and placement counters, for observability and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -464,54 +458,10 @@ impl Cluster {
     /// instance enters drain), import on the destination (new connections
     /// open on the least-loaded TCP NSM there), and track the drain until
     /// the source share empties. Operators call this directly; the placer
-    /// calls it at epoch boundaries.
+    /// calls it at epoch boundaries. It runs as a one-chain plan (export →
+    /// install → resume): a failed install unwinds the export.
     pub fn migrate_vm(&mut self, vm: VmId, from: HostId, to: HostId) -> NkResult<()> {
-        if from == to {
-            return Err(NkError::BadConfig);
-        }
-        if self.home_of(vm) != Some(from) {
-            return Err(NkError::NotFound);
-        }
-        // A VM still draining off the destination (it bounced back before
-        // its old share emptied) cannot move there again yet: the import
-        // would collide with the draining instance.
-        if self.hosts.get(&to).is_some_and(|h| h.has_vm(vm)) {
-            return Err(NkError::AlreadyRegistered);
-        }
-        let to_nsm = self.pick_destination_nsm(to)?;
-        let export = self
-            .hosts
-            .get_mut(&from)
-            .ok_or(NkError::NotFound)?
-            .export_vm(vm)?;
-        if let Err(e) = self
-            .hosts
-            .get_mut(&to)
-            .expect("destination checked by pick_destination_nsm")
-            .import_vm(&export, to_nsm)
-        {
-            // Roll the export back: the VM must not stay stuck in drain on
-            // the source when the destination refused it.
-            self.hosts
-                .get_mut(&from)
-                .expect("source produced the export")
-                .cancel_export(vm);
-            return Err(e);
-        }
-        self.vm_home.insert(vm, to);
-        self.drains.push(ActiveDrain {
-            vm,
-            from,
-            nsm: export.from_nsm,
-        });
-        self.stats.migrations += 1;
-        self.push_event(ClusterAction::MigrateVm {
-            vm,
-            from,
-            to,
-            to_nsm,
-        });
-        Ok(())
+        self.move_vm(vm, from, to, EvacMode::Drained, &[])
     }
 
     /// Warm-migrate a VM to another host: the paper's "switch her NSM on
@@ -535,210 +485,113 @@ impl Cluster {
     /// fabric reroutes the NSM's vNIC address, which would hijack other
     /// VMs' cross-host flows); otherwise it refuses with
     /// [`NkError::InvalidState`] and the caller falls back to
-    /// [`Cluster::migrate_vm`] (drained). A failed install rolls everything
-    /// back: routes drop, the export re-installs at the source, the VM
-    /// keeps serving as if nothing happened.
+    /// [`Cluster::migrate_vm`] (drained). The phases run as a one-chain
+    /// plan whose tail retires the source share. A failed step unwinds the
+    /// completed ones in reverse order (detours restored, the export
+    /// re-installed at the source, the VM thawed) and returns its error
+    /// with no event logged.
     pub fn migrate_vm_warm(&mut self, vm: VmId, from: HostId, to: HostId) -> NkResult<()> {
+        self.move_vm(vm, from, to, EvacMode::Warm, &[])
+    }
+
+    /// The entry behind [`Cluster::migrate_vm`] and
+    /// [`Cluster::migrate_vm_warm`]: validate with nothing changed on a
+    /// refusal, run the move as a one-chain [`EvacPlan`] with `faults`,
+    /// and on commit log its events and counters.
+    pub(crate) fn move_vm(
+        &mut self,
+        vm: VmId,
+        from: HostId,
+        to: HostId,
+        mode: EvacMode,
+        faults: &[EvacFault],
+    ) -> NkResult<()> {
         if from == to {
             return Err(NkError::BadConfig);
         }
         if self.home_of(vm) != Some(from) {
             return Err(NkError::NotFound);
         }
+        // A VM still draining off the destination (it bounced back before
+        // its old share emptied) cannot move there again yet: the import
+        // would collide with the draining instance.
         if self.hosts.get(&to).is_some_and(|h| h.has_vm(vm)) {
             return Err(NkError::AlreadyRegistered);
         }
-        let to_nsm = self.pick_destination_nsm(to)?;
-        let src = self.hosts.get_mut(&from).ok_or(NkError::NotFound)?;
-        let from_nsm = src.nsm_of(vm).ok_or(NkError::NotFound)?;
-        // Warm exclusivity: rerouting the share's vNIC address must not
-        // hijack another tenant's connections.
-        let others_mapped = src
-            .config()
-            .vms
-            .iter()
-            .any(|v| v.id != vm && src.nsm_of(v.id) == Some(from_nsm));
-        if others_mapped || src.nsm_pinned(from_nsm) != src.vm_pinned(vm) {
-            return Err(NkError::InvalidState);
-        }
-        src.freeze_vm(vm)?;
-
-        // Freeze window: mini-steps drain the wire. Each advances time by
-        // enough to mature any frame sitting in an uplink or vNIC link. The
-        // exit condition is VM-local — wire-quiet on two consecutive checks
-        // one mini-step apart (so anything the peer had in flight towards
-        // the VM has landed) — and deliberately ignores other tenants'
-        // traffic: a busy neighbor must not stretch this VM's handover.
-        let freeze_start = self.now_ns;
-        let freeze_dt = (2 * self.cfg.uplink_latency_us * 1_000).max(200_000);
-        let mut quiet_streak = 0;
-        for _ in 0..MAX_FREEZE_STEPS {
-            if self.hosts.get(&from).is_some_and(|h| h.vm_wire_quiet(vm)) {
-                quiet_streak += 1;
-                if quiet_streak >= 2 {
-                    break;
-                }
-            } else {
-                quiet_streak = 0;
-            }
-            self.freeze_ministep(freeze_dt);
-        }
-        self.record_warm_phase(vm, MigrationPhase::Freeze, freeze_start, true);
-
-        let src = self.hosts.get_mut(&from).expect("source checked above");
-        let export = match src.export_vm_warm(vm) {
-            Ok(export) => export,
-            Err(e) => {
-                src.thaw_vm(vm);
-                let at = self.now_ns;
-                self.record_warm_phase(vm, MigrationPhase::Export, at, false);
-                return Err(e);
-            }
+        self.pick_destination_nsm(to)?;
+        // A warm move empties its source share, which retires in the plan
+        // tail; a drained move's share retires once its drain completes.
+        let retire = match mode {
+            EvacMode::Warm => match self.warm_source(from, vm)? {
+                (nsm, true) => vec![nsm],
+                (_, false) => return Err(NkError::InvalidState),
+            },
+            EvacMode::Drained => Vec::new(),
         };
-        let at = self.now_ns;
-        self.record_warm_phase(vm, MigrationPhase::Export, at, true);
-        // Mid-step reroute: each transplanted address now lives behind the
-        // destination host's trunk.
-        let detours = match self.install_detours(&export.rerouted_ips(), from, to) {
-            Ok(detours) => detours,
-            Err(e) => {
-                self.hosts
-                    .get_mut(&from)
-                    .expect("source exists")
-                    .import_vm_warm(&export, from_nsm)
-                    .expect("source re-accepts its own export");
-                self.record_warm_phase(vm, MigrationPhase::Reroute, at, false);
-                return Err(e);
-            }
-        };
-        self.record_warm_phase(vm, MigrationPhase::Reroute, at, true);
-        if let Err(e) = self
-            .hosts
-            .get_mut(&to)
-            .expect("destination checked by pick_destination_nsm")
-            .import_vm_warm(&export, to_nsm)
-        {
-            // Roll back: routes restored, state back where it came from.
-            self.revert_detours(&detours);
-            self.hosts
-                .get_mut(&from)
-                .expect("source exists")
-                .import_vm_warm(&export, from_nsm)
-                .expect("source re-accepts its own export");
-            self.record_warm_phase(vm, MigrationPhase::Install, at, false);
+        let plan = EvacPlan::compile(from, &[EvacMove { vm, to, mode }], &retire, 1)?;
+        let outcome = self.run_plan(&plan, faults);
+        if let Some((_, e)) = outcome.failure {
             return Err(e);
         }
-        self.record_warm_phase(vm, MigrationPhase::Install, at, true);
-        self.record_warm_phase(vm, MigrationPhase::Thaw, at, true);
-        let connections = export.conns.len() as u32;
-        self.vm_home.insert(vm, to);
-        self.stats.warm_migrations += 1;
-        self.stats.conns_transplanted += u64::from(connections);
-        self.push_event(ClusterAction::WarmMigrateVm {
-            vm,
-            from,
-            to,
-            to_nsm,
-            connections,
-        });
-        self.push_event(ClusterAction::WarmHandoverComplete {
-            vm,
-            to,
-            connections,
-        });
-        // The source share emptied in this very epoch: scale-to-zero now,
-        // no drain wait.
-        if self
+        let to_nsm = self
             .hosts
-            .get_mut(&from)
-            .expect("source exists")
-            .retire_nsm_if_drained(from_nsm)
-        {
+            .get(&to)
+            .and_then(|h| h.nsm_of(vm))
+            .expect("a committed plan installed the VM on its destination");
+        match mode {
+            EvacMode::Warm => {
+                let connections = outcome.conns as u32;
+                self.stats.warm_migrations += 1;
+                self.stats.conns_transplanted += outcome.conns;
+                self.push_event(ClusterAction::WarmMigrateVm {
+                    vm,
+                    from,
+                    to,
+                    to_nsm,
+                    connections,
+                });
+                self.push_event(ClusterAction::WarmHandoverComplete {
+                    vm,
+                    to,
+                    connections,
+                });
+            }
+            EvacMode::Drained => {
+                self.stats.migrations += 1;
+                self.push_event(ClusterAction::MigrateVm {
+                    vm,
+                    from,
+                    to,
+                    to_nsm,
+                });
+            }
+        }
+        for nsm in outcome.retired {
             self.stats.shares_retired += 1;
-            self.push_event(ClusterAction::ScaleToZero {
-                host: from,
-                nsm: from_nsm,
-            });
-            let at = self.now_ns;
-            self.obs.record_phase(PhaseWindow {
-                vm: None,
-                phase: MigrationPhase::Retire,
-                start_ns: at,
-                end_ns: at,
-                epoch: self.epoch,
-                step: None,
-                ok: true,
-            });
+            self.push_event(ClusterAction::ScaleToZero { host: from, nsm });
         }
         Ok(())
     }
 
-    /// Record one phase window of a direct warm migration: it opened at
-    /// `start_ns` and closes now. Coordinator phases (export, reroute,
-    /// install, thaw) don't advance virtual time, so their windows are
-    /// zero-width; the freeze window, which runs mini-steps, has real width.
-    fn record_warm_phase(&mut self, vm: VmId, phase: MigrationPhase, start_ns: u64, ok: bool) {
-        self.obs.record_phase(PhaseWindow {
-            vm: Some(vm),
-            phase,
-            start_ns,
-            end_ns: self.now_ns,
-            epoch: self.epoch,
-            step: None,
-            ok,
-        });
-    }
-
-    /// Install a `/32` detour for every transplanted address, steering it
-    /// behind the destination host's trunk, and record what to do on
-    /// revert. An address already *outside* the source host's block was
-    /// detoured by an earlier warm hop — its previous `/32` (via the source
-    /// trunk) was just replaced and must be *restored*, not deleted: a bare
-    /// delete would fall the address back to its origin host's block route,
-    /// stranding the connection. Any install failure reverts the detours
-    /// already placed and returns [`NkError::NotFound`].
-    pub(crate) fn install_detours(
-        &mut self,
-        ips: &[u32],
-        from: HostId,
-        to: HostId,
-    ) -> NkResult<Vec<(u32, Option<u32>)>> {
-        let mut installed: Vec<(u32, Option<u32>)> = Vec::new();
-        for ip in ips {
-            let prior = (*ip & HOST_PREFIX_MASK != host_prefix(from)).then(|| host_prefix(from));
-            if !self.tor.add_route_via(*ip, u32::MAX, host_prefix(to)) {
-                self.revert_detours(&installed);
-                return Err(NkError::NotFound);
-            }
-            installed.push((*ip, prior));
-        }
-        Ok(installed)
-    }
-
-    /// Undo [`Cluster::install_detours`], newest first: a detour that
-    /// replaced an earlier hop's `/32` is re-pointed at the source trunk; a
-    /// fresh one is removed outright.
-    pub(crate) fn revert_detours(&mut self, routes: &[(u32, Option<u32>)]) {
-        for (ip, prior) in routes.iter().rev() {
-            match prior {
-                Some(via) => {
-                    self.tor.add_route_via(*ip, u32::MAX, *via);
-                }
-                None => {
-                    self.tor.remove_route(*ip, u32::MAX);
-                }
-            }
-        }
+    /// A VM's source share on `host`, and whether the VM may move warm:
+    /// it is the share's only tenant and owns all of its pinned
+    /// connections, so rerouting the share's vNIC address cannot hijack
+    /// another tenant's flows.
+    pub(crate) fn warm_source(&self, host: HostId, vm: VmId) -> NkResult<(NsmId, bool)> {
+        let src = self.hosts.get(&host).ok_or(NkError::NotFound)?;
+        let nsm = src.nsm_of(vm).ok_or(NkError::NotFound)?;
+        let alone = |v: &VmConfig| v.id == vm || src.nsm_of(v.id) != Some(nsm);
+        let exclusive =
+            src.nsm_pinned(nsm) == src.vm_pinned(vm) && src.config().vms.iter().all(alone);
+        Ok((nsm, exclusive))
     }
 
     /// One freeze-window mini-step: virtual time advances and every
     /// datapath component polls to quiescence, but no control epochs close
-    /// and no drains advance — the cluster is mid-handover. Returns the
-    /// work done.
-    pub(crate) fn freeze_ministep(&mut self, dt_ns: u64) -> usize {
-        let outcome = self.drive_step(dt_ns, false);
+    /// and no drains advance — the cluster is mid-handover.
+    pub(crate) fn freeze_ministep(&mut self, dt_ns: u64) {
+        self.drive_step(dt_ns, false);
         self.stats.freeze_steps += 1;
-        outcome.work
     }
 
     /// The destination NSM for a migration: among the host's alive
@@ -937,6 +790,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evac::tests::snapshot;
     use nk_types::{
         ClusterPolicy, HostConfig, NsmConfig, SockAddr, SocketApi, VmConfig, VmToNsmPolicy,
     };
@@ -1293,9 +1147,20 @@ mod tests {
             .host_mut(HostId(3))
             .unwrap()
             .inject_import_failures(1);
+        let before = snapshot(&cluster);
         assert_eq!(
             cluster.migrate_vm_warm(VmId(1), HostId(2), HostId(3)),
             Err(NkError::NsmUnavailable)
+        );
+        // The failed move stays local: the plan reverted byte-identically,
+        // and none of an evacuation's reporting — plan log, rollback
+        // counters, the recorder's dump-on-fault freeze — fired.
+        assert_eq!(snapshot(&cluster), before);
+        assert!(cluster.recorder().frozen().is_none());
+        assert!(cluster.plan_events().is_empty());
+        assert_eq!(
+            (cluster.stats().evac_plans, cluster.stats().evac_rollbacks),
+            (0, 0)
         );
 
         // Rollback left the world exactly as before the attempt: home,

@@ -1,26 +1,28 @@
-//! Executing evacuation plans: the mechanism half of
-//! [`nk_ctrl::evacuate`].
+//! Executing move plans: the mechanism half of [`nk_ctrl::evacuate`], and
+//! the one move engine of the cluster.
 //!
-//! [`Cluster::plan_evacuation`] surveys the evacuating host and compiles an
-//! [`EvacPlan`]: one move per homed VM (warm when the PR-5 exclusivity
-//! guard allows, drained otherwise), a destination chosen least-loaded, and
-//! the emptied source shares queued for scale-to-zero at the tail.
-//! [`Cluster::evacuate_host`] then drives the plan step by step —
+//! Every VM migration is an [`EvacPlan`]. [`Cluster::plan_evacuation`]
+//! surveys a host and compiles its clear-out: one move per homed VM (warm
+//! when the share-exclusivity guard allows, drained otherwise), a
+//! destination chosen least-loaded, and the emptied source shares queued
+//! for scale-to-zero at the tail. [`Cluster::migrate_vm`] and
+//! [`Cluster::migrate_vm_warm`] compile a one-chain plan for a single VM.
+//! Both run on one runner, which drives the plan step by step —
 //! dependency-ordered, `pace` VM chains per wave, one shared freeze window
-//! per wave of warm chains — and records every milestone in a serializable
-//! [`PlanEvent`] log.
+//! per wave of warm chains — records one phase window per step and keeps
+//! the serializable [`PlanEvent`] log (evacuations save it).
 //!
-//! The contract that makes the operation safe to attempt is *atomicity by
+//! The contract that makes a move safe to attempt is *atomicity by
 //! rollback*: no cluster event is emitted and no summary counter moves
 //! until the whole plan has committed, and any mid-plan failure unwinds
 //! every completed action in reverse completion order (thaw ↔ re-freeze,
 //! install ↔ re-export, reroute ↔ route restore, export ↔ re-import,
 //! freeze ↔ thaw, retire ↔ revive). After a rollback the cluster's
 //! placement, routing table and event digest are byte-identical to the
-//! pre-plan state — the property the fault-injection tests pin, at any
-//! `NK_CLUSTER_THREADS` value.
+//! pre-plan state — the property the fault-injection tests pin for every
+//! kind of move, at any `NK_CLUSTER_THREADS` value.
 
-use crate::cluster::{ActiveDrain, Cluster, MAX_FREEZE_STEPS};
+use crate::cluster::{ActiveDrain, Cluster};
 use nk_ctrl::{EvacAction, EvacMode, EvacMove, EvacPlan, PlanEvent, PlanRun};
 use nk_obs::{FreezeReason, MigrationPhase, ObsEventKind, PhaseWindow};
 use nk_types::addr::{host_prefix, HOST_PREFIX_MASK};
@@ -28,6 +30,13 @@ use nk_types::{
     ClusterAction, ControlEvent, HostId, NkError, NkResult, NsmId, VmExport, VmId, VmWarmExport,
 };
 use std::collections::BTreeMap;
+
+/// Upper bound on mini-steps per freeze window. The window
+/// normally closes in two or three steps (one wire round trip plus a
+/// quiescence check); a connection that never goes quiet — a peer streaming
+/// into the VM nonstop — is cut at the bound and recovers through TCP
+/// retransmission.
+const MAX_FREEZE_STEPS: usize = 16;
 
 /// What the fault injector does to an in-flight evacuation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,6 +109,18 @@ struct EvacExec {
     retired: Vec<NsmId>,
 }
 
+/// What [`Cluster::run_plan`] hands back to the caller that reports it.
+pub(crate) struct PlanOutcome {
+    /// The plan's event log, closed by `PlanCommitted` or `PlanRolledBack`.
+    pub(crate) events: Vec<PlanEvent>,
+    /// The step that failed and why; `None` when the plan committed.
+    pub(crate) failure: Option<(usize, NkError)>,
+    /// Connections the plan's warm moves exported (meaningful on commit).
+    pub(crate) conns: u64,
+    /// Source shares the plan scaled to zero (empty after a rollback).
+    pub(crate) retired: Vec<NsmId>,
+}
+
 impl Cluster {
     /// Survey `host` and compile its evacuation into an [`EvacPlan`]:
     /// every VM homed there gets a move — warm when the share-exclusivity
@@ -110,7 +131,7 @@ impl Cluster {
     /// plan tail. Fails with [`NkError::NotFound`] for an unknown host and
     /// [`NkError::NoNsm`] when some VM has no viable destination.
     pub fn plan_evacuation(&self, host: HostId, pace: usize) -> NkResult<EvacPlan> {
-        let src = self.hosts.get(&host).ok_or(NkError::NotFound)?;
+        self.hosts.get(&host).ok_or(NkError::NotFound)?;
         let vms: Vec<VmId> = self
             .vm_home
             .iter()
@@ -134,13 +155,7 @@ impl Cluster {
                 .map(|(_, id)| id)
                 .ok_or(NkError::NoNsm)?;
             *planned.entry(to).or_insert(0) += 1;
-            let from_nsm = src.nsm_of(vm).ok_or(NkError::NotFound)?;
-            let others_mapped = src
-                .config()
-                .vms
-                .iter()
-                .any(|v| v.id != vm && src.nsm_of(v.id) == Some(from_nsm));
-            let warm = !others_mapped && src.nsm_pinned(from_nsm) == src.vm_pinned(vm);
+            let (from_nsm, warm) = self.warm_source(host, vm)?;
             moves.push(EvacMove {
                 vm,
                 to,
@@ -177,10 +192,74 @@ impl Cluster {
     ) -> NkResult<EvacReport> {
         let plan = self.plan_evacuation(host, pace)?;
         self.stats.evac_plans += 1;
+        let outcome = self.run_plan(&plan, faults);
+        let committed = outcome.failure.is_none();
+        let (warm, drained) = plan
+            .moves
+            .iter()
+            .fold((0u32, 0u32), |(w, d), m| match m.mode {
+                EvacMode::Warm => (w + 1, d),
+                EvacMode::Drained => (w, d + 1),
+            });
+        if committed {
+            self.stats.warm_migrations += u64::from(warm);
+            self.stats.conns_transplanted += outcome.conns;
+            self.stats.migrations += u64::from(drained);
+            self.stats.shares_retired += outcome.retired.len() as u64;
+            self.stats.evac_commits += 1;
+            self.push_event(ClusterAction::HostEvacuated {
+                host,
+                vms: plan.moves.len() as u32,
+                warm,
+                drained,
+            });
+            for nsm in &outcome.retired {
+                self.push_event(ClusterAction::ScaleToZero { host, nsm: *nsm });
+            }
+        } else {
+            self.stats.evac_rollbacks += 1;
+        }
+        self.plan_events.extend(outcome.events.iter().copied());
+        // Mirror the plan's event log into the recorder ring, then — on a
+        // rollback — trip the dump-on-fault trigger *after* the rollback
+        // events landed, so the frozen ring ends exactly at the trigger.
+        for event in &outcome.events {
+            self.obs
+                .record_event(event.at_ns, event.epoch, ObsEventKind::Plan(event.kind));
+        }
+        if !committed {
+            self.obs.freeze(
+                self.now_ns,
+                self.epoch,
+                FreezeReason::PlanRolledBack { host },
+            );
+        }
+        Ok(EvacReport {
+            plan,
+            events: outcome.events,
+            committed,
+            moved: if committed { warm + drained } else { 0 },
+            warm: if committed { warm } else { 0 },
+            drained: if committed { drained } else { 0 },
+            failed_step: outcome.failure.map(|(id, _)| id),
+            error: outcome.failure.map(|(_, e)| e),
+        })
+    }
+
+    /// The move engine, for an evacuation and a single migration alike: run
+    /// `plan` in step order, firing each of `faults` just before its step.
+    /// Every step records one phase window; the first failure unwinds the
+    /// completed steps in reverse completion order. Emits no cluster event
+    /// and moves no summary counter bar the freeze mini-steps: reporting a
+    /// committed plan is the caller's job.
+    pub(crate) fn run_plan(&mut self, plan: &EvacPlan, faults: &[EvacFault]) -> PlanOutcome {
         let mut run = PlanRun::new(plan.clone(), self.now_ns, self.epoch);
         let mut exec = EvacExec::default();
-        // The wave whose shared freeze window is currently open.
-        let mut window_wave: Option<usize> = None;
+        // Freeze steps of the current wave whose window is still open. No
+        // virtual time passes between them and the wave's wire drain, so
+        // their windows span exactly that drain — or, when a failure comes
+        // first, close zero-width right there.
+        let mut frozen: Vec<(usize, VmId)> = Vec::new();
         let mut failure: Option<(usize, NkError)> = None;
         for step in 0..plan.steps.len() {
             debug_assert!(run.ready(step), "steps execute in dependency order");
@@ -201,17 +280,19 @@ impl Cluster {
             // One freeze window per wave, opened at the wave's first warm
             // export: mini-steps drain the wire for every warm VM of the
             // wave at once, so the handovers share the pause.
-            if !forced_failure {
-                if let EvacAction::Export {
+            let warm_export = matches!(
+                plan.steps[step].action,
+                EvacAction::Export {
                     mode: EvacMode::Warm,
                     ..
-                } = plan.steps[step].action
-                {
-                    let wave = plan.steps[step].wave;
-                    if window_wave != Some(wave) {
-                        self.run_freeze_window(host, &plan.warm_vms_of_wave(wave));
-                        window_wave = Some(wave);
-                    }
+                }
+            );
+            if warm_export && !forced_failure && !frozen.is_empty() {
+                let start = self.now_ns;
+                let vms: Vec<VmId> = frozen.iter().map(|(_, vm)| *vm).collect();
+                self.run_freeze_window(plan.host, &vms);
+                for (id, _) in frozen.drain(..) {
+                    self.record_evac_phase(plan, id, start, true);
                 }
             }
             run.started(step, self.now_ns, self.epoch);
@@ -219,15 +300,24 @@ impl Cluster {
             let result = if forced_failure {
                 Err(NkError::InvalidState)
             } else {
-                self.execute_evac_step(&plan, step, &mut exec)
+                self.execute_evac_step(plan, step, &mut exec)
             };
-            self.record_evac_phase(&plan, step, step_start, result.is_ok());
+            match (plan.steps[step].action, result) {
+                (EvacAction::Freeze { vm }, Ok(())) => frozen.push((step, vm)),
+                (_, Ok(())) => self.record_evac_phase(plan, step, step_start, true),
+                (_, Err(_)) => {
+                    for (id, _) in frozen.drain(..) {
+                        self.record_evac_phase(plan, id, step_start, true);
+                    }
+                    self.record_evac_phase(plan, step, step_start, false);
+                }
+            }
             match result {
                 Ok(()) => run.done(step, self.now_ns, self.epoch),
                 Err(e) => {
                     let worklist = run.failed(step, e, self.now_ns, self.epoch);
                     for id in worklist {
-                        self.revert_evac_step(&plan, id, &mut exec);
+                        self.revert_evac_step(plan, id, &mut exec);
                         run.reverted(id, self.now_ns, self.epoch);
                     }
                     failure = Some((step, e));
@@ -235,65 +325,21 @@ impl Cluster {
                 }
             }
         }
-        let committed = failure.is_none();
-        let (warm, drained) = plan
-            .moves
-            .iter()
-            .fold((0u32, 0u32), |(w, d), m| match m.mode {
-                EvacMode::Warm => (w + 1, d),
-                EvacMode::Drained => (w, d + 1),
-            });
-        if committed {
+        if failure.is_none() {
             run.committed(self.now_ns, self.epoch);
-            let conns: u64 = exec
+        } else {
+            run.rolled_back(self.now_ns, self.epoch);
+        }
+        PlanOutcome {
+            events: run.into_events(),
+            failure,
+            conns: exec
                 .warm_exports
                 .values()
                 .map(|e| e.conns.len() as u64)
-                .sum();
-            self.stats.warm_migrations += u64::from(warm);
-            self.stats.conns_transplanted += conns;
-            self.stats.migrations += u64::from(drained);
-            self.stats.shares_retired += exec.retired.len() as u64;
-            self.stats.evac_commits += 1;
-            self.push_event(ClusterAction::HostEvacuated {
-                host,
-                vms: plan.moves.len() as u32,
-                warm,
-                drained,
-            });
-            for nsm in &exec.retired {
-                self.push_event(ClusterAction::ScaleToZero { host, nsm: *nsm });
-            }
-        } else {
-            run.rolled_back(self.now_ns, self.epoch);
-            self.stats.evac_rollbacks += 1;
+                .sum(),
+            retired: exec.retired,
         }
-        let events = run.into_events();
-        self.plan_events.extend(events.iter().copied());
-        // Mirror the plan's event log into the recorder ring, then — on a
-        // rollback — trip the dump-on-fault trigger *after* the rollback
-        // events landed, so the frozen ring ends exactly at the trigger.
-        for event in &events {
-            self.obs
-                .record_event(event.at_ns, event.epoch, ObsEventKind::Plan(event.kind));
-        }
-        if !committed {
-            self.obs.freeze(
-                self.now_ns,
-                self.epoch,
-                FreezeReason::PlanRolledBack { host },
-            );
-        }
-        Ok(EvacReport {
-            plan,
-            events,
-            committed,
-            moved: if committed { warm + drained } else { 0 },
-            warm: if committed { warm } else { 0 },
-            drained: if committed { drained } else { 0 },
-            failed_step: failure.map(|(id, _)| id),
-            error: failure.map(|(_, e)| e),
-        })
     }
 
     /// Kill a host outright: its instance drops, its trunk route leaves the
@@ -358,12 +404,9 @@ impl Cluster {
     /// Drive the shared freeze window of one wave: mini-steps (no control
     /// epochs, no drains, no events) until every warm VM of the wave is
     /// wire-quiet on two consecutive checks, bounded by
-    /// [`MAX_FREEZE_STEPS`].
+    /// [`MAX_FREEZE_STEPS`]. The exit condition deliberately ignores other
+    /// tenants' traffic: a busy neighbor must not stretch the handover.
     fn run_freeze_window(&mut self, host: HostId, vms: &[VmId]) {
-        if vms.is_empty() {
-            return;
-        }
-        let window_start = self.now_ns;
         let freeze_dt = (2 * self.cfg.uplink_latency_us * 1_000).max(200_000);
         let mut quiet_streak = 0;
         for _ in 0..MAX_FREEZE_STEPS {
@@ -381,26 +424,12 @@ impl Cluster {
             }
             self.freeze_ministep(freeze_dt);
         }
-        // The wave's wire-draining pause, attributed to every warm VM that
-        // shared it (each VM's own Freeze *step* only flips the flag and is
-        // recorded zero-width by the step loop).
-        let (start, end, epoch) = (window_start, self.now_ns, self.epoch);
-        for vm in vms {
-            self.obs.record_phase(PhaseWindow {
-                vm: Some(*vm),
-                phase: MigrationPhase::Freeze,
-                start_ns: start,
-                end_ns: end,
-                epoch,
-                step: None,
-                ok: true,
-            });
-        }
     }
 
-    /// Record the phase window of one executed plan step: coordinator
-    /// actions are zero-width in virtual time, stamped with the plan step
-    /// id that ran them.
+    /// Record the phase window of one plan step, opened at `start_ns` and
+    /// closing now, stamped with the step id. Coordinator actions are
+    /// zero-width in virtual time; a Freeze window spans its wave's wire
+    /// drain.
     fn record_evac_phase(&mut self, plan: &EvacPlan, step: usize, start_ns: u64, ok: bool) {
         let (vm, phase) = match plan.steps[step].action {
             EvacAction::Freeze { vm } => (Some(vm), MigrationPhase::Freeze),
@@ -416,9 +445,25 @@ impl Cluster {
             start_ns,
             end_ns: self.now_ns,
             epoch: self.epoch,
-            step: Some(plan.steps[step].id as u32),
+            step: plan.steps[step].id as u32,
             ok,
         });
+    }
+
+    /// Undo a Reroute step's detours, newest first: a detour that
+    /// replaced an earlier hop's `/32` is re-pointed at the source trunk; a
+    /// fresh one is removed outright.
+    fn revert_detours(&mut self, routes: &[(u32, Option<u32>)]) {
+        for (ip, prior) in routes.iter().rev() {
+            match prior {
+                Some(via) => {
+                    self.tor.add_route_via(*ip, u32::MAX, *via);
+                }
+                None => {
+                    self.tor.remove_route(*ip, u32::MAX);
+                }
+            }
+        }
     }
 
     /// Execute one plan step. Each arm either completes fully or leaves no
@@ -463,12 +508,24 @@ impl Cluster {
                 Ok(())
             }
             EvacAction::Reroute { vm, to } => {
-                let ips = exec
-                    .warm_exports
-                    .get(&vm)
-                    .ok_or(NkError::InvalidState)?
-                    .rerouted_ips();
-                let detours = self.install_detours(&ips, from, to)?;
+                // A `/32` detour per transplanted address, steering it behind
+                // the destination trunk. An address already *outside* the
+                // source host's block was detoured by an earlier warm hop:
+                // its previous `/32` (via the source trunk) is replaced here
+                // and must be *restored* on revert, not deleted — a bare
+                // delete would fall it back to its origin host's block
+                // route, stranding the connection.
+                let export = exec.warm_exports.get(&vm).ok_or(NkError::InvalidState)?;
+                let mut detours = Vec::new();
+                for ip in export.rerouted_ips() {
+                    let prior =
+                        (ip & HOST_PREFIX_MASK != host_prefix(from)).then(|| host_prefix(from));
+                    if !self.tor.add_route_via(ip, u32::MAX, host_prefix(to)) {
+                        self.revert_detours(&detours);
+                        return Err(NkError::NotFound);
+                    }
+                    detours.push((ip, prior));
+                }
                 exec.reroutes.insert(vm, detours);
                 Ok(())
             }
@@ -490,7 +547,7 @@ impl Cluster {
             EvacAction::Thaw { vm, to } => {
                 if let Some(export) = exec.drained_exports.get(&vm) {
                     // Drained resume: the home flips and the source-side
-                    // drain opens, exactly like `Cluster::migrate_vm`.
+                    // drain opens; the drain machinery retires the share.
                     self.vm_home.insert(vm, to);
                     self.drains.push(ActiveDrain {
                         vm,
@@ -782,6 +839,21 @@ pub(crate) mod tests {
             cluster.plan_events().last().unwrap().kind,
             PlanEventKind::PlanCommitted { host: HostId(1) }
         ));
+        // One phase window per step, stamped with its id; each warm VM's
+        // single Freeze window spans the wave's shared wire drain.
+        let phases = cluster.obs_dump().phases;
+        let mut ids: Vec<u32> = phases.iter().map(|w| w.step).collect();
+        ids.sort();
+        assert_eq!(ids, (0..report.plan.steps.len() as u32).collect::<Vec<_>>());
+        let freezes: Vec<_> = phases
+            .iter()
+            .filter(|w| w.phase == MigrationPhase::Freeze)
+            .collect();
+        assert_eq!(freezes.len(), 2, "{phases:?}");
+        assert!(freezes[0].width_ns() > 0);
+        assert!(freezes
+            .iter()
+            .all(|w| w.ok && (w.start_ns, w.end_ns) == (freezes[0].start_ns, freezes[0].end_ns)));
 
         // The pinned connections came along: same sockets, new hosts, still
         // round-tripping through the restored routes.
@@ -811,60 +883,166 @@ pub(crate) mod tests {
         assert_eq!(streams, 2);
     }
 
+    /// One way a VM moves: an evacuation of host 1, or a single move to
+    /// host 2 through the entry `migrate_vm` / `migrate_vm_warm` call.
+    enum Move {
+        Evacuate { pace: usize },
+        Single { vm: u8, mode: EvacMode },
+    }
+
+    /// A move, the cluster it runs on and how many steps it takes.
+    struct Case {
+        name: &'static str,
+        config: fn(usize) -> ClusterConfig,
+        vms: &'static [u8],
+        mv: Move,
+        steps: usize,
+    }
+
+    impl Case {
+        /// Run the move with `step` failed; a rolled-back plan surfaces as
+        /// its error.
+        fn run(&self, cluster: &mut Cluster, step: usize) -> NkResult<()> {
+            let faults = [EvacFault {
+                before_step: step,
+                kind: EvacFaultKind::FailAction,
+            }];
+            match self.mv {
+                Move::Evacuate { pace } => {
+                    let report = cluster
+                        .evacuate_host_with_faults(HostId(1), pace, &faults)
+                        .unwrap();
+                    if report.committed {
+                        return Ok(());
+                    }
+                    assert_eq!(report.failed_step, Some(step), "{}", self.name);
+                    assert_eq!(report.moved, 0);
+                    assert!(matches!(
+                        report.events.last().unwrap().kind,
+                        PlanEventKind::PlanRolledBack { .. }
+                    ));
+                    Err(report.error.unwrap())
+                }
+                Move::Single { vm, mode } => {
+                    cluster.move_vm(VmId(vm), HostId(1), HostId(2), mode, &faults)
+                }
+            }
+        }
+    }
+
+    fn mixed_config(threads: usize) -> ClusterConfig {
+        ClusterConfig::new()
+            .with_host(evac_host(&[1], &[2, 3]))
+            .with_host(empty_host(2))
+            .with_host(empty_host(3))
+            .with_threads(threads)
+    }
+
+    /// VM1 on NSM1 and VM2 on NSM2, both warm; the destinations only have
+    /// NSM1, so reverting VM2's install must re-import it on its own
+    /// source share, not on the destination's NSM id.
+    fn mismatched_config(threads: usize) -> ClusterConfig {
+        ClusterConfig::new()
+            .with_host(evac_host(&[1, 2], &[]))
+            .with_host(empty_host(2))
+            .with_host(empty_host(3))
+            .with_threads(threads)
+    }
+
+    fn single_config(threads: usize) -> ClusterConfig {
+        ClusterConfig::new()
+            .with_host(evac_host(&[1], &[]))
+            .with_host(empty_host(2))
+            .with_threads(threads)
+    }
+
     /// The acceptance criterion: a fault injected at ANY single action of
-    /// the plan triggers a full reverse-order revert, after which
-    /// placement, per-share cores, freeze flags, drains, aliases, routes
-    /// and the event digest are byte-identical to the pre-plan snapshot —
-    /// at one worker thread and at four.
+    /// ANY kind of move — a mixed warm + drained evacuation, a two-warm
+    /// evacuation whose source and destination NSM ids differ, a single
+    /// warm move and a single drained move — triggers a full reverse-order
+    /// revert, after which placement, per-share cores, freeze flags,
+    /// drains, aliases, routes and the event digest are byte-identical to
+    /// the pre-move snapshot, at one worker thread and at four.
     #[test]
     fn fault_at_any_action_reverts_byte_identically() {
-        let config = |threads: usize| {
-            ClusterConfig::new()
-                .with_host(evac_host(&[1], &[2, 3]))
-                .with_host(empty_host(2))
-                .with_host(empty_host(3))
-                .with_threads(threads)
-        };
-        // Learn the plan shape once: a mixed warm + drained plan, two waves
-        // plus the retirement tail.
-        let (probe, _, _) = cluster_with_traffic(config(1), &[1, 2, 3]);
-        let plan = probe.plan_evacuation(HostId(1), 2).unwrap();
+        let (probe, _, _) = cluster_with_traffic(mixed_config(1), &[1, 2, 3]);
+        let mixed = probe.plan_evacuation(HostId(1), 2).unwrap();
         assert!(
-            plan.moves.iter().any(|m| m.mode == EvacMode::Warm)
-                && plan.moves.iter().any(|m| m.mode == EvacMode::Drained),
-            "the plan must exercise both chain kinds: {plan:?}"
+            mixed.moves.iter().any(|m| m.mode == EvacMode::Warm)
+                && mixed.moves.iter().any(|m| m.mode == EvacMode::Drained),
+            "the plan must exercise both chain kinds: {mixed:?}"
         );
-        assert!(plan.steps.len() >= 11, "{plan:?}");
+        assert!(mixed.steps.len() >= 11, "{mixed:?}");
+        let (probe, _, _) = cluster_with_traffic(mismatched_config(1), &[1, 2]);
+        let two_warm = probe.plan_evacuation(HostId(1), 2).unwrap();
+        assert!(two_warm.moves.iter().all(|m| m.mode == EvacMode::Warm));
 
-        for threads in [1usize, 4] {
-            for step in 0..plan.steps.len() {
-                let (mut cluster, _, _) = cluster_with_traffic(config(threads), &[1, 2, 3]);
-                let before = snapshot(&cluster);
-                let report = cluster
-                    .evacuate_host_with_faults(
-                        HostId(1),
-                        2,
-                        &[EvacFault {
-                            before_step: step,
-                            kind: EvacFaultKind::FailAction,
-                        }],
-                    )
-                    .unwrap();
-                assert!(!report.committed, "threads={threads} step={step}");
-                assert_eq!(report.failed_step, Some(step));
-                assert_eq!(report.moved, 0);
-                assert_eq!(
-                    snapshot(&cluster),
-                    before,
-                    "threads={threads}: revert after failing step {step} ({:?}) \
-                     must restore the pre-plan state",
-                    plan.steps[step].action
-                );
-                assert!(matches!(
-                    report.events.last().unwrap().kind,
-                    PlanEventKind::PlanRolledBack { .. }
-                ));
-                assert_eq!(cluster.stats().evac_rollbacks, 1);
+        let cases = [
+            Case {
+                name: "mixed evacuation",
+                config: mixed_config,
+                vms: &[1, 2, 3],
+                mv: Move::Evacuate { pace: 2 },
+                steps: mixed.steps.len(),
+            },
+            Case {
+                name: "two-warm evacuation",
+                config: mismatched_config,
+                vms: &[1, 2],
+                mv: Move::Evacuate { pace: 2 },
+                steps: two_warm.steps.len(),
+            },
+            // Freeze, export, reroute, install, thaw, retire the share.
+            Case {
+                name: "warm move",
+                config: single_config,
+                vms: &[1],
+                mv: Move::Single {
+                    vm: 1,
+                    mode: EvacMode::Warm,
+                },
+                steps: 6,
+            },
+            // Export, install, resume.
+            Case {
+                name: "drained move",
+                config: single_config,
+                vms: &[1],
+                mv: Move::Single {
+                    vm: 1,
+                    mode: EvacMode::Drained,
+                },
+                steps: 3,
+            },
+        ];
+        for case in &cases {
+            let name = case.name;
+            for threads in [1usize, 4] {
+                // A fault past the last step never fires and the move
+                // commits, so `steps` is exactly the number of steps run.
+                for step in 0..=case.steps {
+                    let (mut cluster, _, _) =
+                        cluster_with_traffic((case.config)(threads), case.vms);
+                    let before = snapshot(&cluster);
+                    let result = case.run(&mut cluster, step);
+                    if step == case.steps {
+                        assert_eq!(result, Ok(()), "{name} threads={threads}: commits");
+                        continue;
+                    }
+                    assert_eq!(
+                        result,
+                        Err(NkError::InvalidState),
+                        "{name} threads={threads} step={step}"
+                    );
+                    assert_eq!(
+                        snapshot(&cluster),
+                        before,
+                        "{name} threads={threads}: revert after failing step {step} \
+                         must restore the pre-move state"
+                    );
+                    let evacuation = matches!(case.mv, Move::Evacuate { .. });
+                    assert_eq!(cluster.stats().evac_rollbacks, u64::from(evacuation));
+                }
             }
         }
     }
@@ -960,6 +1138,15 @@ pub(crate) mod tests {
             .unwrap();
         assert!(!report.committed);
         assert_eq!(report.error, Some(NkError::NoNsm));
+        // The failed step still records its window, marked failed.
+        let failed: Vec<u32> = cluster
+            .obs_dump()
+            .phases
+            .iter()
+            .filter(|w| !w.ok)
+            .map(|w| w.step)
+            .collect();
+        assert_eq!(failed, vec![install as u32]);
         assert_eq!(cluster.home_of(VmId(1)), Some(HostId(1)));
         assert!(!cluster.host(HostId(1)).unwrap().vm_frozen(VmId(1)));
         assert!(cluster.host(HostId(1)).unwrap().has_vm(VmId(1)));
@@ -1092,49 +1279,5 @@ pub(crate) mod tests {
             .filter(|e| matches!(e.kind, ObsEventKind::Plan(_)))
             .count();
         assert_eq!(plan_events, report.events.len(), "{:?}", dump.events);
-    }
-}
-
-#[cfg(test)]
-mod review_repro {
-    use super::tests::*;
-    use super::*;
-    use nk_types::ClusterConfig;
-
-    #[test]
-    fn repro_rollback_with_mismatched_nsm_ids() {
-        // VM1 on NSM1, VM2 on NSM2, both exclusive (warm). Dest hosts have
-        // only NSM1. Fail at VM2's Thaw: its Install (dest NSM1) completed,
-        // so the rollback re-exports from the destination and re-imports at
-        // the source using the *destination's* NSM id.
-        let cfg = ClusterConfig::new()
-            .with_host(evac_host(&[1, 2], &[]))
-            .with_host(empty_host(2))
-            .with_host(empty_host(3));
-        let (mut cluster, _, _) = cluster_with_traffic(cfg, &[1, 2]);
-        let plan = cluster.plan_evacuation(HostId(1), 2).unwrap();
-        let thaw2 = plan
-            .steps
-            .iter()
-            .find(|s| matches!(s.action, EvacAction::Thaw { vm: VmId(2), .. }))
-            .unwrap()
-            .id;
-        let before = snapshot(&cluster);
-        let report = cluster
-            .evacuate_host_with_faults(
-                HostId(1),
-                2,
-                &[EvacFault {
-                    before_step: thaw2,
-                    kind: EvacFaultKind::FailAction,
-                }],
-            )
-            .unwrap();
-        assert!(!report.committed);
-        assert!(
-            cluster.host(HostId(1)).unwrap().has_vm(VmId(2)),
-            "VM2 must be restored to the source on rollback"
-        );
-        assert_eq!(snapshot(&cluster), before);
     }
 }

@@ -1,18 +1,21 @@
-//! Planned, revertible host evacuation.
+//! Planned, revertible VM moves and host evacuation.
 //!
 //! Warm migration ([`nk_types::VmWarmExport`] and friends) moves *one* VM;
 //! evacuating a whole host — many VMs across many NSM shares, under faults —
 //! needs ordering, pacing and a partial-failure story. This module is the
 //! *deciding* half of that story, in the same mechanism-free spirit as the
-//! rest of `nk-ctrl`: an [`EvacPlan`] compiles a host evacuation into a DAG
-//! of typed [`EvacAction`]s (freeze → export → reroute → install → thaw per
-//! VM, scale-to-zero retirement of the emptied shares at the tail), every
-//! action has a well-defined revert, and [`PlanRun`] tracks execution so a
-//! mid-plan failure yields the exact list of completed actions to unwind —
-//! in reverse completion order, back to a clean pre-plan state.
+//! rest of `nk-ctrl`: an [`EvacPlan`] compiles a set of moves off one host
+//! into a DAG of typed [`EvacAction`]s (freeze → export → reroute → install
+//! → thaw per VM, scale-to-zero retirement of the emptied shares at the
+//! tail), every action has a well-defined revert, and [`PlanRun`] tracks
+//! execution so a mid-plan failure yields the exact list of completed
+//! actions to unwind — in reverse completion order, back to a clean
+//! pre-plan state.
 //!
-//! The executor lives in `nk-cluster` (`Cluster::evacuate_host`), which owns
-//! the hosts and the fabric; this module owns the *shape* of the operation:
+//! The executor lives in `nk-cluster`, which owns the hosts and the fabric,
+//! and runs *every* VM move as a plan: `Cluster::evacuate_host` a whole
+//! host, `Cluster::migrate_vm` / `Cluster::migrate_vm_warm` a one-chain
+//! plan for a single VM. This module owns the *shape* of the operation:
 //! which steps exist, what each depends on, how concurrency is paced
 //! (`pace` VMs per wave), and the serializable [`PlanEvent`] log that makes
 //! an evacuation as replayable as every other cluster decision.

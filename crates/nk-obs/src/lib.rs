@@ -18,7 +18,7 @@
 //!   count.
 //! * [`PhaseWindow`] — migration / evacuation phase timelines: the freeze,
 //!   export, reroute, install and thaw windows in virtual ns, attributed to
-//!   the VM and (for planned evacuations) the plan step.
+//!   the VM and the move-plan step that ran them.
 //! * [`FlowTable`] — a top-K hot-flow table (bytes / ops per 4-tuple) with
 //!   deterministic space-saving eviction, fed from the frames the ToR
 //!   delivers at the round barrier.

@@ -25,10 +25,12 @@ pub enum MigrationPhase {
     Retire,
 }
 
-/// One phase window in virtual time. Phases that complete without
-/// advancing virtual time (an export is a single coordinator action) have
-/// `start_ns == end_ns`; the freeze window, which runs wire-draining
-/// mini-steps, has real width.
+/// One phase window in virtual time: one per executed step of a move
+/// plan (every VM migration, single or part of an evacuation, runs as
+/// one). Phases that complete without advancing virtual time (an export is
+/// a single coordinator action) have `start_ns == end_ns`; a Freeze window
+/// spans the wire-draining mini-steps its wave shared, so it has real
+/// width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseWindow {
     /// The VM the window belongs to (`None` for share retirement).
@@ -41,9 +43,8 @@ pub struct PhaseWindow {
     pub end_ns: u64,
     /// Placement epoch at capture.
     pub epoch: u64,
-    /// The evacuation-plan step that ran the phase (`None` for a direct
-    /// warm migration outside any plan).
-    pub step: Option<u32>,
+    /// The id of the plan step that ran the phase.
+    pub step: u32,
     /// Whether the phase succeeded (`false`: it failed and a rollback or
     /// revert followed).
     pub ok: bool,
@@ -313,7 +314,7 @@ mod tests {
             start_ns: 150,
             end_ns: 250,
             epoch: 0,
-            step: None,
+            step: 0,
             ok: true,
         });
         rec.freeze(300, 0, FreezeReason::PlanRolledBack { host: HostId(2) });

@@ -134,19 +134,6 @@ impl<T> UnboundedConsumer<T> {
         n
     }
 
-    /// Pop every queued element, handing each to `f` in FIFO order; returns
-    /// how many were popped. The allocation-free sibling of
-    /// [`UnboundedConsumer::drain_into`] for barrier-time drains that fold
-    /// elements into an accumulator instead of collecting them.
-    pub fn drain_with(&mut self, mut f: impl FnMut(T)) -> usize {
-        let mut n = 0;
-        while let Some(v) = self.pop() {
-            f(v);
-            n += 1;
-        }
-        n
-    }
-
     /// Number of elements currently queued (approximate under concurrency).
     pub fn len(&self) -> usize {
         self.inner.len.load(Ordering::Acquire)
@@ -207,18 +194,6 @@ mod tests {
         assert_eq!(rx.drain_into(&mut out), 10);
         assert_eq!(out, (0..10).collect::<Vec<_>>());
         assert_eq!(rx.drain_into(&mut out), 0);
-    }
-
-    #[test]
-    fn drain_with_folds_in_fifo_order() {
-        let (mut tx, mut rx) = unbounded();
-        for i in 0..10u64 {
-            tx.push(i);
-        }
-        let mut seen = Vec::new();
-        assert_eq!(rx.drain_with(|v| seen.push(v)), 10);
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(rx.drain_with(|_| panic!("queue must be empty")), 0);
     }
 
     /// A burst far past any plausible ring size: the queue grows instead of
