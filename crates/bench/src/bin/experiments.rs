@@ -1305,11 +1305,13 @@ fn ev01_evacuation(results: &mut BenchResults) {
 ///
 /// * **modeled** — the serial wall rate scaled by `serial_work /
 ///   critical_work` from the executor (per round: the largest shard plus
-///   the serial hub). This is the schedule's speedup and is what the
-///   acceptance gate checks, because CI containers frequently pin the
-///   whole process to a single core, where parallel wall clock measures
-///   contention rather than the sharding.
-/// * **wall** — what this machine actually did, for honesty.
+///   the serial hub). This is the schedule's speedup, independent of how
+///   many cores the process gets; the run asserts it stays ≥ 2× at 16
+///   hosts and 4 threads, a property of the sharding, not of the machine.
+/// * **wall** — what this machine actually did, and the measured speedup
+///   `wall_speedup_h{h}_t{t}` (the wall rate at `t` threads over the
+///   1-thread rate). It only shows a gain with `t` ≤ the cores the
+///   process actually gets.
 ///
 /// The run also asserts the determinism contract: cluster stats, guest
 /// byte counts and the event digest are identical for every thread count.
@@ -1496,12 +1498,14 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
             if hosts == 16 && threads == 4 {
                 speedup_h16_t4 = out.modeled_speedup;
             }
+            let wall_speedup = out.wall_steps_per_s / base.wall_steps_per_s;
             rows.push(vec![
                 hosts.to_string(),
                 format!("{threads} ({})", out.threads_used),
                 f(modeled, 0),
                 f(out.modeled_speedup, 2),
                 f(out.wall_steps_per_s, 0),
+                f(wall_speedup, 2),
                 format!("{:.0}%", 100.0 * out.hub_share),
                 out.barrier_frames.to_string(),
             ]);
@@ -1520,18 +1524,24 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
                     &format!("wall_steps_per_s_h{hosts}_t{threads}"),
                     "steps/s",
                     out.wall_steps_per_s,
+                )
+                .metric(
+                    &format!("wall_speedup_h{hosts}_t{threads}"),
+                    "x",
+                    wall_speedup,
                 );
         }
     }
     record.metric("speedup_h16_t4", "x", speedup_h16_t4);
     print_table(
-        "par01: sharded datapath — steps/sec vs worker threads (modeled = serial rate x schedule speedup)",
+        "par01: sharded datapath — steps/sec vs worker threads (modeled = serial rate x schedule speedup; wall = measured)",
         &[
             "hosts",
             "threads (used)",
             "modeled steps/s",
-            "speedup",
+            "modeled speedup",
             "wall steps/s",
+            "wall speedup",
             "hub share",
             "barrier frames",
         ],

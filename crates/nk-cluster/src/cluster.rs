@@ -104,9 +104,10 @@ pub struct Cluster {
     /// Per-VM forwarded bytes at the previous placement epoch.
     pub(crate) prev_vm_bytes: BTreeMap<(HostId, VmId), u64>,
     pub(crate) stats: ClusterStats,
-    /// Drives the begin/rounds/close step over all hosts — serially at
-    /// `threads == 1`, sharded across worker threads otherwise. Semantics
-    /// are identical either way; see [`crate::exec`].
+    /// Drives the begin/rounds/close step over all hosts — on the caller's
+    /// thread at `threads == 1`, sharded across it and a persistent worker
+    /// pool otherwise. Semantics are identical either way; see
+    /// [`crate::exec`].
     pub(crate) exec: ShardedExecutor,
     /// The flight recorder: every capture happens on the coordinator —
     /// outside the sharded step or at the round barrier — in `HostId`
@@ -226,8 +227,8 @@ impl Cluster {
         self.exec.stats()
     }
 
-    /// Datapath worker threads in use (after the `NK_CLUSTER_THREADS`
-    /// override).
+    /// Datapath threads configured, the caller's included (after the
+    /// `NK_CLUSTER_THREADS` override).
     pub fn threads(&self) -> usize {
         self.exec.threads()
     }

@@ -19,9 +19,9 @@
 //! its seed.
 
 //! The datapath is parallel when asked: [`exec::ShardedExecutor`] shards
-//! hosts across worker threads with a round barrier, and the results —
-//! event logs, digests, stats — are byte-identical for any
-//! [`nk_types::ClusterConfig::threads`] value.
+//! hosts across the caller's thread and a persistent worker pool with a
+//! round barrier, and the results — event logs, digests, stats — are
+//! byte-identical for any [`nk_types::ClusterConfig::threads`] value.
 //!
 //! Clearing a whole host is a *planned, revertible* operation: [`evac`]
 //! compiles the evacuation into an [`nk_ctrl::EvacPlan`] (warm where the

@@ -210,19 +210,6 @@ impl EvacPlan {
     pub fn waves(&self) -> usize {
         self.steps.last().map(|s| s.wave + 1).unwrap_or(0)
     }
-
-    /// The VMs a wave moves warm (the freeze window the executor shares
-    /// across the wave covers exactly these).
-    pub fn warm_vms_of_wave(&self, wave: usize) -> Vec<VmId> {
-        self.steps
-            .iter()
-            .filter(|s| s.wave == wave)
-            .filter_map(|s| match s.action {
-                EvacAction::Freeze { vm } => Some(vm),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// What happened to one plan step.
@@ -495,7 +482,6 @@ mod tests {
         assert_eq!(plan.steps[4].deps, vec![3]);
         assert_eq!(plan.steps[5].deps, vec![4], "retire waits for the chain");
         assert_eq!(plan.waves(), 2);
-        assert_eq!(plan.warm_vms_of_wave(0), vec![VmId(1)]);
     }
 
     /// Drained chains skip freeze and reroute; pace bounds the wave width.
@@ -517,7 +503,6 @@ mod tests {
             .steps
             .iter()
             .all(|s| !matches!(s.action, EvacAction::Freeze { .. })));
-        assert!(plan.warm_vms_of_wave(0).is_empty());
         // Phase-major inside the wave: both exports before both installs.
         assert!(matches!(
             plan.steps[0].action,

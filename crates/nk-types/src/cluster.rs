@@ -250,10 +250,10 @@ pub struct ClusterConfig {
     /// Upper bound on interleaved poll rounds per cluster step (the
     /// cluster-level analogue of [`HostConfig::max_poll_rounds`]).
     pub max_rounds: usize,
-    /// Worker threads the cluster datapath is sharded over (hosts are the
-    /// unit of parallelism; rounds are separated by barriers, so results
-    /// are byte-identical for any value). `1` — the default — is the serial
-    /// reference path.
+    /// Threads the cluster datapath is sharded over, the caller's included
+    /// (hosts are the unit of parallelism; rounds are separated by
+    /// barriers, so results are byte-identical for any value). `1` — the
+    /// default — walks every host on the caller's thread.
     pub threads: usize,
     /// Cluster placement policy. `None` leaves placement static (hosts may
     /// still run their own per-host control planes).
@@ -307,9 +307,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Shard the datapath over `threads` worker threads (builder style).
-    /// Determinism is preserved for any value; `1` runs the serial
-    /// reference path.
+    /// Shard the datapath over `threads` threads, the caller's included
+    /// (builder style). Determinism is preserved for any value; `1` walks
+    /// every host on the caller's thread.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

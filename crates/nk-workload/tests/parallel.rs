@@ -5,9 +5,11 @@
 //! the event-log digest, the cluster stats (including the per-phase work
 //! counters), the merged control-event view and every tenant's byte stream
 //! must not change when the datapath runs on 1, 2 or 4 worker threads.
-//! These tests replay three full scenarios — a fault-injected multi-tenant
-//! run, the drained-migration cluster scenario and the warm-migration
-//! handover — across that thread matrix and diff the complete reports.
+//! These tests replay full scenarios — a fault-injected multi-tenant run,
+//! the drained-migration cluster scenario, the warm-migration handover, a
+//! faulted evacuation, uneven per-host share counts and a host kill that
+//! shrinks the shard count — across that thread matrix and diff the
+//! complete reports.
 //!
 //! (`NK_CLUSTER_THREADS` deliberately overrides the configured value, so a
 //! CI job can run this whole suite under a forced thread count; equality
@@ -597,4 +599,85 @@ fn per_phase_counters_accumulate() {
         report.stats.barrier_frames > 0,
         "cross-host traffic must cross the ToR at the barrier"
     );
+}
+
+/// Everything observable from the host-kill run.
+#[derive(Debug, PartialEq)]
+struct KillRunReport {
+    digest: u64,
+    stats: ClusterStats,
+    streams: Vec<Vec<u8>>,
+}
+
+/// Two hosts stream to a ToR server; host 2 is killed mid-run, so a
+/// 2-thread cluster drops from two datapath shards to one and keeps
+/// stepping the survivor. The shard count changing under the executor
+/// must not change a byte.
+fn kill_run(threads: usize) -> KillRunReport {
+    let cfg = ClusterConfig::new()
+        .with_uplink_latency_us(2)
+        .with_threads(threads)
+        .with_host(host(1, &[1]))
+        .with_host(host(2, &[2]));
+    let mut cluster = Cluster::new(cfg).expect("valid two-host cluster");
+    let server = cluster.add_remote(SERVER_IP);
+    let ls = server.socket();
+    server.bind(ls, SockAddr::new(0, 7)).unwrap();
+    server.listen(ls, 16).unwrap();
+    let mut socks = Vec::new();
+    for h in [1u8, 2] {
+        let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
+        let s = guest.socket().unwrap();
+        guest.connect(s, SockAddr::new(SERVER_IP, 7)).unwrap();
+        socks.push((h, s));
+    }
+    cluster.run(20, 100_000);
+    for &(h, s) in &socks {
+        let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
+        guest.send(s, b"both").unwrap();
+    }
+    cluster.run(10, 100_000);
+    let shards = cluster.threads().min(2);
+    assert_eq!(cluster.exec_stats().threads, shards, "one shard per host");
+
+    cluster.kill_host(HostId(2)).expect("host 2 is up");
+    let (h, s) = socks[0];
+    let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
+    guest.send(s, b"-alone").unwrap();
+    cluster.run(20, 100_000);
+    assert_eq!(cluster.exec_stats().threads, 1, "one host, one shard");
+
+    let server = cluster.remote_mut(SERVER_IP).unwrap();
+    let mut streams = Vec::new();
+    while let Ok((conn, _)) = server.accept(ls) {
+        let mut got = Vec::new();
+        let mut buf = [0u8; 64];
+        while let Ok(n) = server.recv(conn, &mut buf) {
+            if n == 0 {
+                break;
+            }
+            got.extend_from_slice(&buf[..n]);
+        }
+        streams.push(got);
+    }
+    KillRunReport {
+        digest: cluster.event_digest(),
+        stats: cluster.stats(),
+        streams,
+    }
+}
+
+/// Killing a host takes a 2-thread cluster from two shards to one; the
+/// run stays byte-identical to the serial one.
+#[test]
+fn host_kill_that_shrinks_the_shard_count_is_identical_across_threads() {
+    let reference = kill_run(1);
+    assert_eq!(reference.stats.hosts_killed, 1);
+    assert_eq!(reference.streams.len(), 2);
+    assert!(
+        reference.streams.iter().any(|s| s == b"both-alone"),
+        "{:?}",
+        reference.streams
+    );
+    assert_eq!(kill_run(2), reference);
 }
